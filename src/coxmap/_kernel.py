@@ -1,24 +1,12 @@
-"""Kernel backend selection: compiled extension when present, else pure Python.
+"""The two sparse polynomial kernels, re-exported from coxmap._kernel_py.
 
-Setting the environment variable COXMAP_PURE to a non-empty value forces the
-pure-Python kernels even when the extension is importable, which is how the
-fallback path gets tested and benchmarked.
+The library itself imports coxmap._kernel_py.  This module stays because the
+benchmark in coxbench/ imports coxmap._kernel (and coxmap._kernel_py) and
+reports coxmap.kernel_backend, which is BACKEND below.
 """
 
-import os
+from coxmap._kernel_py import poly_exact_div, poly_mul
 
-if os.environ.get("COXMAP_PURE"):
-    from coxmap._kernel_py import poly_exact_div, poly_mul
-
-    BACKEND = "python"
-else:
-    try:
-        from coxmap._speedups import poly_exact_div, poly_mul
-
-        BACKEND = "compiled"
-    except ImportError:  # pragma: no cover - depends on the build environment
-        from coxmap._kernel_py import poly_exact_div, poly_mul
-
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["poly_mul", "poly_exact_div", "BACKEND"]

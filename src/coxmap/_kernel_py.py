@@ -1,12 +1,16 @@
-"""Pure-Python kernels for sparse polynomial arithmetic.
+"""Kernels for sparse polynomial arithmetic.
 
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.  These
-two loops dominate pullback expansion and order-of-vanishing computation,
-so they also exist as a compiled twin in _speedups.pyx; coxmap._kernel picks
-whichever is importable.
+two loops dominate pullback expansion and order-of-vanishing computation.
+The degree-lexicographic key lives here rather than in coxmap.coxring,
+which imports it, so that the kernels do not import coxring.
 """
 
 from __future__ import annotations
+
+
+def deglex_key(exps: tuple[int, ...]) -> tuple:
+    return (sum(exps), exps)
 
 
 def poly_mul(a: dict, b: dict) -> dict:
@@ -40,12 +44,12 @@ def poly_exact_div(f: dict, g: dict):
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:
         return {}
-    lt_g = max(g, key=_deglex_key)
+    lt_g = max(g, key=deglex_key)
     cg = g[lt_g]
     r = dict(f)
     q: dict = {}
     while r:
-        lt_r = max(r, key=_deglex_key)
+        lt_r = max(r, key=deglex_key)
         e = tuple(x - y for x, y in zip(lt_r, lt_g))
         if any(x < 0 for x in e):
             return None
@@ -63,7 +67,3 @@ def poly_exact_div(f: dict, g: dict):
                 else:
                     del r[m]
     return q
-
-
-def _deglex_key(e: tuple) -> tuple:
-    return (sum(e), e)

@@ -82,15 +82,22 @@ def _fraction(value, where) -> Fraction:
     raise SchemaError("%s: %r is not a rational number" % (where, value))
 
 
+def _integer(value, where) -> int:
+    """A JSON integer; bools, floats and strings are refused, not coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SchemaError("%s: %r is not an integer" % (where, value))
+
+
 def fan_from_json(obj, where) -> Fan:
-    dim = _require(obj, "dim", int, where)
+    dim = _integer(_require(obj, "dim", None, where), where + " dim")
     rays = _require(obj, "rays", list, where)
     cones = _require(obj, "max_cones", list, where)
-    try:
-        fan = Fan.make(dim, [tuple(int(x) for x in r) for r in rays],
-                       [set(int(i) for i in c) for c in cones])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("%s: %s" % (where, exc)) from None
+    if not all(isinstance(r, list) for r in rays + cones):
+        raise SchemaError("%s: rays and max_cones must be lists of lists" % where)
+    rays = [tuple(_integer(x, where + " ray") for x in r) for r in rays]
+    cones = [set(_integer(i, where + " max cone") for i in c) for c in cones]
+    fan = Fan.make(dim, rays, cones)
     problems = validate_fan(fan)
     if problems:
         raise SchemaError("%s: %s" % (where, "; ".join(problems)))
@@ -158,7 +165,7 @@ def _parse_poly(ring: ToricCoxRing, text, where) -> MPoly:
 def section_from_json(
     ring: ToricCoxRing, obj, where, collector: Optional[list] = None
 ) -> FactoredSection:
-    if obj in ("0", 0):
+    if obj == "0" or (type(obj) is int and obj == 0):
         return FactoredSection.zero(ring.nvars)
     if not isinstance(obj, dict):
         raise SchemaError(
@@ -255,11 +262,12 @@ def charmap_from_json(source: ToricCoxRing, target: ToricCoxRing, obj,
     sigma = _require(obj, "sigma", list, "character_map")
     basis = _require(obj, "basis", list, "character_map")
     values = _require(obj, "values", list, "character_map")
-    try:
-        sigma = frozenset(int(i) for i in sigma)
-        basis = tuple(tuple(int(x) for x in row) for row in basis)
-    except (TypeError, ValueError):
-        raise SchemaError("character_map: sigma and basis hold integers") from None
+    if not all(isinstance(row, list) for row in basis):
+        raise SchemaError("character_map: basis rows must be lists")
+    sigma = frozenset(_integer(i, "character_map sigma") for i in sigma)
+    basis = tuple(
+        tuple(_integer(x, "character_map basis") for x in row) for row in basis
+    )
     if any(len(row) != target.fan.dim for row in basis):
         raise SchemaError("character_map: basis rows must have the target dimension")
     pool: list[MPoly] = []
@@ -548,7 +556,10 @@ def cmd_eval(args) -> int:
             )
         except ValueError:
             raise SchemaError("--point %r is not a comma-separated point" % text)
-    for k, raw in enumerate(doc.get("eval_points", [])):
+    raw_points = doc.get("eval_points", [])
+    if not isinstance(raw_points, list):
+        raise SchemaError("eval_points must be a list of points")
+    for k, raw in enumerate(raw_points):
         if not isinstance(raw, list):
             raise SchemaError("eval_points[%d] must be a list" % k)
         points.append(

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from coxmap._kernel import poly_exact_div, poly_mul
+from coxmap._kernel_py import deglex_key, poly_exact_div, poly_mul
 from coxmap.abelian import FGAbelianGroup, GroupElement, IntMatrix, cokernel
 from coxmap.fan import Fan
 
@@ -43,10 +43,6 @@ class UnknownVariable(ParseError):
     def __init__(self, name: str, position: int):
         ParseError.__init__(self, "unknown variable %r" % name, position)
         self.name = name
-
-
-def deglex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
 
 
 class MPoly:

@@ -408,6 +408,44 @@ def test_schema_errors_exit_2(tmp_path, capsys):
 
     assert main(["check", str(tmp_path / "does-not-exist.json")]) == 2
 
+    # integers must be JSON integers: floats, strings and bools are not coerced
+    not_integers = [
+        dict(CREMONA, source=dict(P2, rays=[[1.9, 0], [0, 1], [-1, -1]])),
+        dict(CREMONA, target=dict(P2, rays=["10", [0, 1], [-1, -1]])),
+        dict(CREMONA, source=dict(P2, rays=[[True, 0], [0, 1], [-1, -1]])),
+        dict(CREMONA, source=dict(P2, max_cones=[[0, 1], [1, 2], [0, "2"]])),
+        dict(CREMONA, target=dict(P2, max_cones=[[0, 1.0], [1, 2], [0, 2]])),
+        dict(ROOT_MAP, source=dict(LINE, dim=True)),
+        # false is not the zero image
+        dict(CREMONA, images=CREMONA["images"][:2] + [False]),
+    ]
+    for k, doc in enumerate(not_integers):
+        assert main(["check", write(tmp_path, "i%d.json" % k, doc)]) == 2, doc
+        assert "input error" in capsys.readouterr().err
+
+    construct = {
+        "source": LINE,
+        "target": QUARTER,
+        "character_map": {
+            "sigma": [],
+            "basis": [[1, 0], [0, 1]],
+            "values": [{"factors": [["t", "2"]]}, {"factors": [["t", "1"]]}],
+        },
+    }
+    charmaps = [
+        dict(construct["character_map"], basis=[[1, 0], [0, "1"]]),
+        dict(construct["character_map"], basis=[[1, 0], [0, 1.5]]),
+        dict(construct["character_map"], sigma=[False]),
+    ]
+    for k, charmap in enumerate(charmaps):
+        doc = dict(construct, character_map=charmap)
+        assert main(["construct", write(tmp_path, "c%d.json" % k, doc)]) == 2, doc
+        assert "input error" in capsys.readouterr().err
+
+    scalar_points = dict(ROOT_MAP, eval_points=5)
+    assert main(["eval", write(tmp_path, "e.json", scalar_points)]) == 2
+    assert "input error" in capsys.readouterr().err
+
 
 def test_factor_sanity_and_trust(tmp_path, capsys):
     doc = {
