@@ -129,7 +129,7 @@ def unit_from_json(obj, where) -> RadicalScalar:
         return RadicalScalar.one()
     if not isinstance(obj, dict):
         raise SchemaError("%s: unit must be an object" % where)
-    sign = obj.get("sign", 1)
+    sign = _integer(obj.get("sign", 1), where + " unit sign")
     if sign not in (1, -1):
         raise SchemaError("%s: unit sign must be 1 or -1" % where)
     base = _fraction(obj.get("base", "1"), where)
@@ -322,6 +322,10 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _complex_from_json(value, where) -> complex:
+    """A JSON number, a string such as "1+2j", or a [real, imag] pair;
+    bools are refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise SchemaError("%s: %r is not a number" % (where, value))
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, str):
@@ -329,7 +333,11 @@ def _complex_from_json(value, where) -> complex:
             return complex(value.replace(" ", ""))
         except ValueError:
             raise SchemaError("%s: %r is not a number" % (where, value)) from None
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and not any(isinstance(x, bool) for x in value)
+    ):
         try:
             return complex(float(value[0]), float(value[1]))
         except (TypeError, ValueError):

@@ -328,7 +328,7 @@ def build_cox_ring(fan: Fan, names: Sequence[str]) -> ToricCoxRing:
     return ToricCoxRing(fan, names, group, degrees)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _degree_cached(ring: ToricCoxRing, f: MPoly) -> HomogeneousWitness:
     items = f.sorted_terms()
     lead_exps = items[0][0]

@@ -418,6 +418,13 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         dict(ROOT_MAP, source=dict(LINE, dim=True)),
         # false is not the zero image
         dict(CREMONA, images=CREMONA["images"][:2] + [False]),
+        # a unit sign is the integer 1 or -1, never a bool or a float
+        dict(ROOT_MAP, images=[{"factors": [["t", "3/2"]], "unit": {"sign": True}},
+                               ROOT_MAP["images"][1]]),
+        dict(ROOT_MAP, images=[{"factors": [["t", "3/2"]], "unit": {"sign": 1.0}},
+                               ROOT_MAP["images"][1]]),
+        dict(ROOT_MAP, images=[{"factors": [["t", "3/2"]], "unit": {"sign": -1.0}},
+                               ROOT_MAP["images"][1]]),
     ]
     for k, doc in enumerate(not_integers):
         assert main(["check", write(tmp_path, "i%d.json" % k, doc)]) == 2, doc
@@ -442,8 +449,21 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         assert main(["construct", write(tmp_path, "c%d.json" % k, doc)]) == 2, doc
         assert "input error" in capsys.readouterr().err
 
-    scalar_points = dict(ROOT_MAP, eval_points=5)
-    assert main(["eval", write(tmp_path, "e.json", scalar_points)]) == 2
+    bad_points = [
+        5,
+        # a coordinate true is not the number 1
+        [[True]],
+        [[[True, 0]]],
+        [[[1, False]]],
+    ]
+    for k, points in enumerate(bad_points):
+        doc = dict(ROOT_MAP, eval_points=points)
+        assert main(["eval", write(tmp_path, "e%d.json" % k, doc)]) == 2, points
+        assert "input error" in capsys.readouterr().err
+    signed = dict(ROOT_MAP, eval_points=[[2]],
+                  images=[{"factors": [["t", "3/2"]], "unit": {"sign": True}},
+                          ROOT_MAP["images"][1]])
+    assert main(["eval", write(tmp_path, "s.json", signed)]) == 2
     assert "input error" in capsys.readouterr().err
 
 

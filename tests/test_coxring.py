@@ -12,6 +12,7 @@ from coxmap.coxring import (
     ParseError,
     UnknownVariable,
     ZeroPolynomial,
+    _degree_cached,
     build_cox_ring,
     exact_divide,
     format_poly,
@@ -83,6 +84,16 @@ def test_homogeneous_degree_examples():
 
     with pytest.raises(ZeroPolynomial):
         homogeneous_degree(p2, p2.zero_poly())
+
+
+def test_degree_cache_is_bounded():
+    p2 = ring_p2()
+    bound = _degree_cached.cache_info().maxsize
+    assert bound is not None
+    for k in range(1, bound + 20):
+        witness = homogeneous_degree(p2, p2.parse("x0^%d - x1^%d" % (k, k)))
+        assert witness.degree.free == (k,)
+    assert _degree_cached.cache_info().currsize <= bound
 
 
 def test_homogeneous_degree_torsion_grading():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from coxmap import abelian
+from coxmap import fan as fan_module
 from coxmap.fan import (
     Cone,
     ConeNotInFan,
@@ -20,6 +22,8 @@ from coxmap.fan import (
 )
 from varieties import (
     affine_line,
+    cube_fan,
+    hirzebruch_surface,
     product_of_lines,
     projective_line,
     projective_plane,
@@ -31,6 +35,19 @@ def test_validate_standard_fans():
     for fan in (projective_line(), projective_plane(), product_of_lines(),
                 affine_line(), quarter_plane_quotient()):
         assert validate_fan(fan) == []
+
+
+def test_validate_non_simplicial_fan():
+    fan = cube_fan()
+    assert all(len(cone) == 4 for cone in fan.max_cones)
+    assert validate_fan(fan) == []
+    # rays at the corners of the square {x = 1}: the two diagonals cross
+    twisted = Fan.make(3, fan.rays, [{0, 3}, {1, 2}])
+    assert validate_fan(twisted) == ["cones 0 and 1 intersect outside their common face"]
+    # the cones meet in the ray (1, 1, 0), which is not a face of the flat
+    # cone spanned by (1, 0, 0), (0, 1, 0) and itself
+    flat = Fan.make(3, [(1, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)], [{0, 1}, {0, 2, 3}])
+    assert validate_fan(flat) == ["shared rays of cones 0 and 1 do not span a face of cone 1"]
 
 
 def test_validate_rejects_imprimitive_ray():
@@ -118,6 +135,15 @@ def test_face_subsets_of_simplicial_cones():
     assert not fan.is_face(frozenset({0, 1, 2}))
 
 
+def test_face_cache_is_bounded():
+    fan = projective_plane()
+    bound = fan_module._is_face_cached.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 20):
+        assert not fan.is_face(frozenset({0, 3 + k}))
+    assert fan_module._is_face_cached.cache_info().currsize <= bound
+
+
 def test_star_fan_of_ray_in_projective_plane():
     fan = projective_plane()
     sigma = fan.cone({2})
@@ -162,6 +188,66 @@ def test_star_fan_cones_with_image():
     star = star_fan(fan, fan.cone(set()))
     assert star.cones_with_image([]) == [frozenset()]
     assert star.cones_with_image([(-1,)]) == [frozenset({1})]
+
+
+def test_cube_fan_geometry():
+    fan = cube_fan()
+    index = {ray: i for i, ray in enumerate(fan.rays)}
+    top, edge = index[(1, 1, 1)], index[(1, 1, -1)]
+    facet = frozenset(i for i, ray in enumerate(fan.rays) if ray[0] == 1)
+    assert cone_contains(fan.cone(facet), (2, 1, -1))
+    assert not cone_contains(fan.cone(facet), (1, 2, 0))
+    assert minimal_cone_containing(fan, (2, 1, 1)).indices == facet
+    assert minimal_cone_containing(fan, (1, 1, 0)).indices == {top, edge}
+    assert minimal_cone_containing(fan, (2, 2, 2)).indices == {top}
+
+    star = star_fan(fan, fan.cone(set()))
+    assert star.support_contains((0, 0, 0)) and star.support_contains((3, -1, 2))
+    assert star.minimal_image_cone((0, 0, 0)) == frozenset()
+    assert star.minimal_image_cone((2, 1, 1)) == facet
+    assert star.minimal_image_cone((1, 1, 0)) == {top, edge}
+    assert star.minimal_image_cone((1, 1, 1)) == {top}
+    assert star.cones_with_image([]) == [frozenset()]
+    assert star.cones_with_image([(1, 1, 1)]) == [frozenset({top})]
+    assert star.cones_with_image(star.image_gens(facet)) == [facet]
+
+    # three square faces meet at a corner; their images cover the quotient
+    star = star_fan(fan, fan.cone({top}))
+    assert star.lattice.rank == 2 and len(star.entries) == 3
+    for v in itertools.product(range(-2, 3), repeat=2):
+        assert star.support_contains(v)
+    assert star.minimal_image_cone((0, 0)) == {top}
+    (edge_image,) = star.image_gens({edge})
+    assert star.minimal_image_cone(edge_image) == {top, edge}
+    assert star.cones_with_image([]) == [frozenset({top})]
+    assert star.cones_with_image([edge_image]) == [frozenset({top, edge})]
+    assert star.cones_with_image(star.image_gens(facet)) == [facet]
+
+
+def test_star_fan_queries_solve_no_lps(monkeypatch):
+    fans = [projective_plane(), product_of_lines(), hirzebruch_surface(1), cube_fan()]
+    faces = [
+        Cone(fan, frozenset(face))
+        for fan in fans
+        for cone in fan.max_cones
+        for r in range(len(cone) + 1)
+        for face in itertools.combinations(sorted(cone), r)
+        if fan.is_face(frozenset(face))
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star-fan geometry solved an LP")
+
+    for module in (abelian, fan_module):
+        for name in ("feasible_lexmin", "solve_rational"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for sigma in faces:
+        star = star_fan(sigma.fan, sigma)
+        for v in itertools.product(range(-2, 3), repeat=star.lattice.rank):
+            assert star.support_contains(v)  # every fan here is complete
+            tau = star.minimal_image_cone(v)
+            assert sigma.indices <= tau
+            assert tau in star.cones_with_image(star.image_gens(tau))
 
 
 def test_ray_projection_map_for_ray_star():

@@ -32,6 +32,22 @@ def quarter_plane_quotient():
     return Fan.make(2, [(1, 0), (1, 2)], [{0, 1}])
 
 
+def hirzebruch_surface(a):
+    return Fan.make(2, [(1, 0), (0, 1), (-1, a), (0, -1)], [{0, 1}, {1, 2}, {2, 3}, {0, 3}])
+
+
+def cube_fan():
+    """Cones over the six square faces of the cube [-1, 1]^3: complete and
+    not simplicial."""
+    rays = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    cones = [
+        {i for i, ray in enumerate(rays) if ray[axis] == sign}
+        for axis in range(3)
+        for sign in (1, -1)
+    ]
+    return Fan.make(3, rays, cones)
+
+
 def ring_p1(names=("u", "v")):
     return build_cox_ring(projective_line(), names)
 
