@@ -11,6 +11,7 @@ the input cannot be understood.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -321,28 +322,27 @@ def _fmt_complex(z: complex) -> str:
     return "%g%+gj" % (z.real, z.imag)
 
 
-def _complex_from_json(value, where) -> complex:
-    """A JSON number, a string such as "1+2j", or a [real, imag] pair;
-    bools are refused, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise SchemaError("%s: %r is not a number" % (where, value))
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError:
-            raise SchemaError("%s: %r is not a number" % (where, value)) from None
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and not any(isinstance(x, bool) for x in value)
-    ):
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    raise SchemaError("%s: %r is not a number" % (where, value))
+def _coordinate(value, where) -> complex:
+    """A finite complex number from a JSON number, a string such as "1+2j"
+    or a [real, imag] pair; bools are refused, not read as 0 or 1, and so
+    are NaN, infinities and numbers beyond the float range."""
+    z = None
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            z = complex(value)
+        elif isinstance(value, str):
+            z = complex(value.replace(" ", ""))
+        elif (
+            isinstance(value, (list, tuple))
+            and len(value) == 2
+            and not any(isinstance(x, bool) for x in value)
+        ):
+            z = complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if z is None or not cmath.isfinite(z):
+        raise SchemaError("%s: %r is not a finite number" % (where, value))
+    return z
 
 
 def _section_str(ring: ToricCoxRing, section: FactoredSection) -> str:
@@ -558,12 +558,9 @@ def cmd_eval(args) -> int:
     d = description_from_json(doc, args.trust_factors)
     points = []
     for text in args.point or []:
-        try:
-            points.append(
-                tuple(complex(part.replace(" ", "")) for part in text.split(","))
-            )
-        except ValueError:
-            raise SchemaError("--point %r is not a comma-separated point" % text)
+        points.append(
+            tuple(_coordinate(part, "--point %r" % text) for part in text.split(","))
+        )
     raw_points = doc.get("eval_points", [])
     if not isinstance(raw_points, list):
         raise SchemaError("eval_points must be a list of points")
@@ -572,7 +569,7 @@ def cmd_eval(args) -> int:
             raise SchemaError("eval_points[%d] must be a list" % k)
         points.append(
             tuple(
-                _complex_from_json(v, "eval_points[%d][%d]" % (k, j))
+                _coordinate(v, "eval_points[%d][%d]" % (k, j))
                 for j, v in enumerate(raw)
             )
         )
@@ -701,6 +698,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise SchemaError("--tol must be finite and non-negative, not %r" % args.tol)
         return args.func(args)
     except SchemaError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -14,7 +14,6 @@ completion pass enforces divisor by divisor.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -470,7 +469,11 @@ def twist_description(
                     FactoredSection.from_factors(d.source.nvars, [(f, delta[i])]),
                 )
             )
-    return CoxDescription(d.source, d.target, images)
+    twisted = CoxDescription(d.source, d.target, images)
+    if twisted.zero_set == d.zero_set:
+        # same target fan and zero set: share the cone and its star fan
+        twisted.__dict__.update(sigma=d.sigma, star=d.star)
+    return twisted
 
 
 def candidate_divisors(d: CoxDescription) -> list[MPoly]:
@@ -641,14 +644,38 @@ class RegularityReport:
     is_regular: bool
 
 
+def _minimal_transversals(edges: Sequence[Sequence[MPoly]]) -> list[frozenset[MPoly]]:
+    """The minimal sets meeting every edge, by Berge's incremental algorithm
+    (Eiter & Gottlob, SIAM J. Comput. 24, 1995).
+
+    The family starts with the empty set alone.  For each edge, the sets
+    that meet it stay and every other set is extended by each element of
+    the edge.  As the family before the step is an antichain, an extension
+    can only fail to be minimal by containing a set that stayed.  Sets are
+    bit masks over the distinct factors.
+    """
+    factors = list(dict.fromkeys(p for edge in edges for p in edge))
+    bit = {p: 1 << k for k, p in enumerate(factors)}
+    masks = {sum(bit[p] for p in set(edge)) for edge in edges}
+    family = [0]
+    for edge in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        kept = [t for t in family if t & edge]
+        members = [b for b in bit.values() if b & edge]
+        grown = [t | b for t in family if not t & edge for b in members]
+        family = kept + [g for g in grown if all(k & ~g for k in kept)]
+    return [frozenset(p for p in factors if bit[p] & t) for t in family]
+
+
 def regularity_report(d: CoxDescription) -> RegularityReport:
     """Classify candidate divisors and the preimage of the irrelevant locus.
 
     Requires a complete description.  The preimage analysis works on the
     monomial level: the zero locus of each pulled-back irrelevant monomial
-    is the union of its positively occurring factors, and a resulting
-    vanishing pattern is harmless exactly when its variable part is
-    contained in no maximal cone of the source fan.
+    is the union of its positively occurring factors.  A vanishing pattern
+    is a minimal set of factors meeting every such zero locus, that is a
+    minimal transversal of these factor sets, and it is harmless exactly
+    when its variable part is contained in no maximal cone of the source
+    fan.
     """
     agrees = []
     poles = []
@@ -666,9 +693,9 @@ def regularity_report(d: CoxDescription) -> RegularityReport:
         img.is_zero or all(e > 0 for _, e in img.factors) for img in d.images
     )
 
-    # zero loci of the pulled-back irrelevant monomials, as factor sets
+    # zero loci of the pulled-back irrelevant monomials, as factor sets; an
+    # empty one (a monomial vanishing nowhere) leaves no pattern at all
     factor_sets = []
-    empty_intersection = False
     for cone in d.target.fan.max_cones:
         outside = [i for i in range(d.target.nvars) if i not in cone]
         if any(i in d.zero_set for i in outside):
@@ -677,21 +704,8 @@ def regularity_report(d: CoxDescription) -> RegularityReport:
         for i in outside:
             for p, e in d.images[i].factors:
                 total[p] = total.get(p, Fraction(0)) + e
-        positive = [p for p, e in total.items() if e > 0]
-        if not positive:
-            empty_intersection = True
-            break
-        factor_sets.append(positive)
-
-    patterns: list[frozenset[MPoly]] = []
-    if not empty_intersection:
-        for choice in itertools.product(*factor_sets):
-            pattern = frozenset(choice)
-            if pattern not in patterns:
-                patterns.append(pattern)
-        patterns = [
-            p for p in patterns if not any(q < p for q in patterns)
-        ]
+        factor_sets.append([p for p, e in total.items() if e > 0])
+    patterns = _minimal_transversals(factor_sets)
 
     variable_index = {
         MPoly.variable(d.source.nvars, i): i for i in range(d.source.nvars)

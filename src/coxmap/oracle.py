@@ -14,7 +14,6 @@ homogeneity conditions.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -63,8 +62,13 @@ def evaluate_description(
     root branches.
 
     Every factor and scalar prime receives its own d-th root, d being the
-    least common multiple of all root orders; branches that produce the
-    same tuple within tol are merged.
+    least common multiple of all root orders.  Changing the root of one
+    slot by a d-th root of unity moves the phases of the live coordinates
+    by that slot's column of exponent numerators mod d, so the branch
+    phases are exactly the subgroup of (Z/d)^n generated by those columns.
+    It is enumerated by closure, at a cost linear in its size rather than
+    in d to the number of slots; branches that produce the same tuple
+    within tol are merged.
     """
     point = tuple(complex(z) for z in point)
     if len(point) != d.source.nvars:
@@ -103,27 +107,34 @@ def evaluate_description(
 
     roots = [value ** (1.0 / order) for value in values]
     numerators = [[int(e * order) for e in row] for row in exps]
-    base = []
-    for i in range(n):
-        if i in d.zero_set:
-            base.append(0j)
-            continue
+    live = [i for i in range(n) if i not in d.zero_set]
+    base = [0j] * n
+    for i in live:
         acc = complex(signs[i])
         for r, nums in zip(roots, numerators):
             if nums[i]:
                 acc *= r ** nums[i]
-        base.append(acc)
+        base[i] = acc
 
-    varying = [k for k in range(len(values)) if any(x % order for x in numerators[k])]
+    zero = (0,) * len(live)
+    columns = sorted(
+        {tuple(nums[i] % order for i in live) for nums in numerators} - {zero}
+    )
+    phases = [zero]
+    seen = set(phases)
+    for h in phases:  # grows while it is walked: a breadth-first closure
+        for c in columns:
+            g = tuple((a + b) % order for a, b in zip(h, c))
+            if g not in seen:
+                seen.add(g)
+                phases.append(g)
+
+    units = [_unit_root(phase, order) for phase in range(order)]
     tuples: list[tuple[complex, ...]] = []
-    for combo in itertools.product(range(order), repeat=len(varying)):
-        out = []
-        for i in range(n):
-            if i in d.zero_set:
-                out.append(0j)
-                continue
-            phase = sum(j * numerators[k][i] for j, k in zip(combo, varying)) % order
-            out.append(base[i] * _unit_root(phase, order))
+    for h in phases:
+        out = [0j] * n
+        for i, phase in zip(live, h):
+            out[i] = base[i] * units[phase]
         candidate = tuple(out)
         if not any(
             max(abs(a - b) for a, b in zip(candidate, kept)) <= tol for kept in tuples
@@ -155,7 +166,7 @@ def evaluate_section(
 # Orbit comparison
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _invariant_exponents(
     ring: ToricCoxRing, live: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:

@@ -40,7 +40,7 @@ class InhomogeneousFactor(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer by trial division."""
     out = []

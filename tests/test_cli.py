@@ -466,6 +466,50 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["eval", write(tmp_path, "s.json", signed)]) == 2
     assert "input error" in capsys.readouterr().err
 
+    # evaluation coordinates must be finite: NaN, infinities and numbers
+    # beyond the float range are refused, in JSON and on the command line
+    root_path = write(tmp_path, "root.json", ROOT_MAP)
+    for text in ["nan", "inf", "-inf", "1e309", "1+nanj", "infj"]:
+        assert main(["eval", root_path, "--point=" + text]) == 2, text
+        assert "input error" in capsys.readouterr().err
+    non_finite = ["[[NaN]]", "[[Infinity]]", "[[-Infinity]]", "[[1e309]]",
+                  "[[1%s]]" % ("0" * 400), '[["nan"]]', "[[[0, NaN]]]",
+                  "[[[1e309, 0]]]"]
+    for k, points in enumerate(non_finite):
+        path = tmp_path / ("n%d.json" % k)
+        path.write_text(json.dumps(ROOT_MAP)[:-1] + ', "eval_points": %s}' % points)
+        assert main(["eval", str(path)]) == 2, points
+        assert "input error" in capsys.readouterr().err
+
+    # --tol is a finite non-negative number on every subcommand
+    chart = {
+        "source": P1,
+        "target": P1,
+        "images": [
+            {"factors": [["u", "1"], ["v", "-1"]]},
+            {"factors": [["u", "0"]]},
+        ],
+    }
+    chart_path = write(tmp_path, "chart.json", chart)
+    for tol in ["-1", "nan", "inf", "-inf"]:
+        assert main(["eval", chart_path, "--point", "1,0", "--tol=" + tol]) == 2, tol
+        assert "input error" in capsys.readouterr().err
+    valid = {
+        "check": CREMONA,
+        "complete": COLLAPSE,
+        "construct": construct,
+        "verify-ideal": dict(SEGRE, ideal=["z0*z3 - z1*z2"]),
+    }
+    for command, doc in valid.items():
+        path = write(tmp_path, "valid-%s.json" % command, doc)
+        assert main([command, path]) == 0, command
+        capsys.readouterr()
+        assert main([command, path, "--tol=-1e-6"]) == 2, command
+        assert "input error" in capsys.readouterr().err
+    cremona_path = write(tmp_path, "cremona.json", CREMONA)
+    assert main(["check", cremona_path, "--samples", "2", "--tol", "nan"]) == 2
+    assert "input error" in capsys.readouterr().err
+
 
 def test_factor_sanity_and_trust(tmp_path, capsys):
     doc = {

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from coxmap import descriptions as descriptions_module
 from coxmap.coxring import MPoly
 from coxmap.descriptions import (
     CharacterMap,
@@ -35,6 +37,7 @@ from coxmap.sections import FactoredSection, RadicalScalar
 
 from varieties import (
     ring_affine_line,
+    ring_line_power,
     ring_p1,
     ring_p1xp1,
     ring_p2,
@@ -369,6 +372,21 @@ def test_twist_preserves_character_map():
     assert induced_character_map(twisted) == induced_character_map(d)
 
 
+def test_twist_shares_the_star_fan(monkeypatch):
+    d = collapse_p2_to_p1()
+    twisted = twist_description(d, d.source.parse("x2"), (-1, -1))
+    assert twisted.sigma is d.sigma and twisted.star is d.star
+
+    calls = []
+    real = descriptions_module.star_fan
+    monkeypatch.setattr(
+        descriptions_module, "star_fan", lambda *a: calls.append(a) or real(*a)
+    )
+    done, entries = complete(collapse_p2_to_p1())
+    assert any(e.modified for e in entries)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # divisor diagnosis
 
@@ -519,6 +537,23 @@ def test_line_embedding_is_regular():
 def test_regularity_requires_completion():
     with pytest.raises(IncompleteDescription):
         regularity_report(collapse_p2_to_p1())
+
+
+def test_squaring_map_of_four_lines_regularity_is_output_sensitive():
+    # 16 factor sets of 4 variables each: the product enumeration walks 4^16
+    # choices, while the only minimal transversals are the 4 pairs {a0, a1},
+    # {b0, b1}, {c0, c1} and {d0, d1}
+    ring = ring_line_power(4)
+    d = desc(ring, ring, [[(name, 2)] for name in ring.names])
+    t0 = time.perf_counter()
+    report = regularity_report(d)
+    assert time.perf_counter() - t0 < 1.0
+    assert report.patterns_inside_irrelevant == tuple(
+        (ring.parse(ring.names[2 * j]), ring.parse(ring.names[2 * j + 1]))
+        for j in range(4)
+    )
+    assert report.non_regular_patterns == ()
+    assert report.is_regular
 
 
 def test_pole_blocks_regularity():

@@ -1,11 +1,14 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from coxmap import oracle as oracle_module
 from coxmap.coxring import build_cox_ring
 from coxmap.descriptions import CharacterMap, CoxDescription, induced_character_map
+from coxmap.fan import Fan
 from coxmap.oracle import (
     AgreementReport,
     IrrelevantPoint,
@@ -113,6 +116,42 @@ def test_scalar_radical_branches():
     assert approx_in((-r,), vs.values, tol=1e-9)
 
 
+def radical_pairs(pairs):
+    """Fourth roots of ``pairs`` linear forms in each of y1 and y2 over the
+    plane, into affine 3-space modulo mu_4 x mu_4: the 2 * pairs + 2 slots
+    span only two distinct phase columns, so there are 16 branches however
+    many pairs there are."""
+    source = build_cox_ring(Fan.make(2, [(1, 0), (0, 1)], [{0, 1}]), ("x", "y"))
+    target = build_cox_ring(
+        Fan.make(3, [(1, 0, 0), (1, 4, 0), (1, 0, 4)], [{0, 1, 2}]), ("y0", "y1", "y2")
+    )
+    forms = ["x + %d*y + %d" % (k + 1, 2 * k + 3) for k in range(2 * pairs + 2)]
+    g, a, b = forms[:2], forms[2:2 + pairs], forms[2 + pairs:]
+    q = Fraction(1, 4)
+    return desc(
+        source,
+        target,
+        [
+            [(g[0], 1), (g[1], -1)] + [(p, -q) for p in a + b],
+            [(p, q) for p in a],
+            [(p, q) for p in b],
+        ],
+    )
+
+
+@pytest.mark.parametrize("pairs", [5, 8])
+def test_radical_pairs_evaluate_in_time_linear_in_the_branches(pairs):
+    # the phase product has 4^(2 * pairs) combinations: 4^16 for 8 pairs
+    d = radical_pairs(pairs)
+    t0 = time.perf_counter()
+    vs = evaluate_description(d, (2, 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert vs.root_order == 4
+    assert len(vs.values) == 16
+    for t in vs.values:
+        assert orbit_equal(d.target, vs.values[0], t)
+
+
 def test_evaluate_section_rejects_roots():
     ring = ring_affine_line()
     with pytest.raises(ValueError):
@@ -130,6 +169,15 @@ def test_orbit_scaling_on_plane():
     assert orbit_equal(ring, (1, 2, 3), (-1, -2, -3))
     assert not orbit_equal(ring, (1, 2, 3), (2, 4, 5))
     assert not orbit_equal(ring, (1, 2, 0), (1, 2, 3))
+
+
+def test_invariant_exponent_cache_is_bounded():
+    bound = oracle_module._invariant_exponents.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 20):
+        ring = ring_p1(("u%d" % k, "v%d" % k))
+        assert orbit_equal(ring, (1, 2), (3, 6))
+    assert oracle_module._invariant_exponents.cache_info().currsize <= bound
 
 
 def test_orbit_with_torsion_only_sees_diagonal_signs():

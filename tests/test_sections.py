@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxmap import sections as sections_module
 from coxmap.coxring import MPoly
 from coxmap.sections import (
     DivisionByZeroSection,
@@ -40,6 +41,15 @@ def test_radical_scalar_factorization():
     assert r.powers == ((2, Fraction(2)), (3, Fraction(1)), (5, Fraction(-1)))
     assert r.as_fraction() == Fraction(12, 5)
     assert RadicalScalar.from_rational(-2).pow(3).as_fraction() == -8
+
+
+def test_factorization_cache_is_bounded():
+    bound = sections_module._factorize.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 20):
+        n = 6 * (k + 1)
+        assert RadicalScalar.from_rational(Fraction(n)).as_fraction() == n
+    assert sections_module._factorize.cache_info().currsize <= bound
 
 
 def test_radical_scalar_roots():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from coxmap.coxring import build_cox_ring
 from coxmap.fan import Fan
 
@@ -19,8 +21,14 @@ def projective_space_3():
     return Fan.make(3, rays, [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
 
 
-def product_of_lines():
-    return Fan.make(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [{0, 2}, {0, 3}, {1, 2}, {1, 3}])
+def product_of_lines(k=2):
+    """(P^1)^k: rays +-e_j, one maximal cone per choice of signs."""
+    rays = [tuple(s if i == j else 0 for i in range(k)) for j in range(k) for s in (1, -1)]
+    cones = [
+        {2 * j + s for j, s in enumerate(choice)}
+        for choice in itertools.product((0, 1), repeat=k)
+    ]
+    return Fan.make(k, rays, cones)
 
 
 def affine_line():
@@ -70,3 +78,13 @@ def ring_affine_line(names=("t",)):
 
 def ring_quarter_quotient(names=("y1", "y2")):
     return build_cox_ring(quarter_plane_quotient(), names)
+
+
+def ring_line_power(k):
+    names = ["%s%d" % (chr(ord("a") + j), s) for j in range(k) for s in (0, 1)]
+    return build_cox_ring(product_of_lines(k), names)
+
+
+def affine_space(n):
+    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return Fan.make(n, rays, [set(range(n))])
