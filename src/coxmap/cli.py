@@ -51,7 +51,12 @@ from coxmap.descriptions import (
     verify_ideal_vanishing,
 )
 from coxmap.fan import Fan, validate_fan
-from coxmap.oracle import OnPole, evaluate_description, sample_agreement
+from coxmap.oracle import (
+    OnPole,
+    OutOfFloatRange,
+    evaluate_description,
+    sample_agreement,
+)
 from coxmap.sections import FactoredSection, RadicalScalar
 
 
@@ -593,6 +598,8 @@ def cmd_eval(args) -> int:
             )
             had_pole = True
             continue
+        except OutOfFloatRange as exc:
+            raise SchemaError("point (%s): %s" % (label, exc)) from None
         print("point (%s): %d value%s" % (label, len(vs.values),
                                           "" if len(vs.values) == 1 else "s"))
         for value in vs.values:

@@ -48,7 +48,7 @@ class UnknownVariable(ParseError):
 class MPoly:
     """Sparse polynomial with Fraction coefficients; immutable by convention."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_sort_key")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         self.nvars = nvars
@@ -64,6 +64,7 @@ class MPoly:
                     clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
         self._hash = None
+        self._sort_key = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -90,6 +91,7 @@ class MPoly:
         obj.nvars = nvars
         obj.terms = terms
         obj._hash = None
+        obj._sort_key = None
         return obj
 
     # -- queries ------------------------------------------------------------
@@ -119,10 +121,13 @@ class MPoly:
 
     def sort_key(self) -> tuple:
         # ascending order under this key lists x0 before x1 and lower
-        # degrees first, matching the order factors are reported in
-        return tuple(
-            ((sum(e), tuple(-x for x in e)), c) for e, c in self.sorted_terms()
-        )
+        # degrees first, matching the order factors are reported in;
+        # computed once, like the hash, since terms are never mutated
+        if self._sort_key is None:
+            self._sort_key = tuple(
+                ((sum(e), tuple(-x for x in e)), c) for e, c in self.sorted_terms()
+            )
+        return self._sort_key
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):

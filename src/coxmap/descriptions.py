@@ -236,6 +236,14 @@ def pullback_polynomial(d: CoxDescription, g: MPoly) -> PulledBackSection:
     Monomials meeting a zero image drop; the survivors must share one
     radical part, and the result is that radical part times their sum over
     a common denominator.  Returns zero when all terms drop or cancel.
+
+    Each surviving monomial c * z^m is, over the radical part, c times a
+    Laurent monomial in the image factors.  Terms are summed in that factor
+    monoid first and only the monomials with a nonzero sum are expanded, so
+    the relations the map satisfies cancel before any polynomial product.
+    The coefficients c are never factored: they only scale the rational
+    quotients, since an integer power of a rational has no fractional part.
+    The denominator covers every surviving monomial, cancelled ones too.
     """
     if g.nvars != d.target.nvars:
         raise ValueError("polynomial over the wrong number of target variables")
@@ -248,23 +256,20 @@ def pullback_polynomial(d: CoxDescription, g: MPoly) -> PulledBackSection:
         for i, e in enumerate(exps):
             if e:
                 section = section_mul(section, section_pow(d.images[i], Fraction(e)))
-        section = section_mul(
-            section,
-            FactoredSection(nv, RadicalScalar.from_rational(coeff), ()),
-        )
-        terms.append(section)
+        terms.append((coeff, section))
     if not terms:
         return PulledBackSection.zero(nv)
-    gamma = fractional_part(terms[0])
+    gamma = fractional_part(terms[0][1])
     rationals = []
-    for section in terms:
+    for coeff, section in terms:
         try:
-            rationals.append(rational_quotient(section, gamma))
+            scalar, factors = rational_quotient(section, gamma)
         except ValueError:
             raise FractionalPartMismatch(
                 "monomials of %s pull back with different radical parts"
                 % d.target.poly_str(g)
             ) from None
+        rationals.append((coeff * scalar, factors))
     depth: dict[MPoly, int] = {}
     for _, factors in rationals:
         for p, k in factors:
@@ -273,16 +278,20 @@ def pullback_polynomial(d: CoxDescription, g: MPoly) -> PulledBackSection:
     den = MPoly.constant(nv, 1)
     for p, k in sorted(depth.items(), key=lambda t: t[0].sort_key()):
         den = den * p ** k
-    num = MPoly.zero(nv)
+    sums: dict[frozenset, Fraction] = {}
     for scalar, factors in rationals:
-        term = MPoly.constant(nv, scalar)
-        exps = dict(factors)
-        for p in depth:
-            exps[p] = exps.get(p, 0) + depth[p]
-        for p, k in exps.items():
-            if k:
+        exps = dict(depth)
+        for p, k in factors:
+            exps[p] = exps.get(p, 0) + k
+        key = frozenset((p, k) for p, k in exps.items() if k)
+        sums[key] = sums.get(key, 0) + scalar
+    num = MPoly.zero(nv)
+    for key, scalar in sums.items():
+        if scalar:
+            term = MPoly.constant(nv, scalar)
+            for p, k in sorted(key, key=lambda t: t[0].sort_key()):
                 term = term * p ** k
-        num = num + term
+            num = num + term
     if num.is_zero:
         return PulledBackSection.zero(nv)
     return PulledBackSection(nv, gamma, num, den)

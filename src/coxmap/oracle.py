@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,10 @@ from coxmap.sections import FactoredSection, root_order
 
 class OnPole(ValueError):
     """A factor with negative exponent vanishes at the evaluation point."""
+
+
+class OutOfFloatRange(ValueError):
+    """A factor, root or branch value at the point overflows a float."""
 
 
 class IrrelevantPoint(ValueError):
@@ -68,7 +73,10 @@ def evaluate_description(
     phases are exactly the subgroup of (Z/d)^n generated by those columns.
     It is enumerated by closure, at a cost linear in its size rather than
     in d to the number of slots; branches that produce the same tuple
-    within tol are merged.
+    within tol are merged.  Distinct d-th roots of unity lie at least
+    2 sin(pi/d) apart, so two branches whose phases differ at a coordinate
+    with |value| sin(pi/d) > tol are more than 2 tol apart; the merge only
+    compares branches that agree in phase at every such coordinate.
     """
     point = tuple(complex(z) for z in point)
     if len(point) != d.source.nvars:
@@ -87,14 +95,17 @@ def evaluate_description(
         return index[key]
 
     signs = [1] * n
-    for i, img in enumerate(d.images):
-        if img.is_zero:
-            continue
-        signs[i] = img.unit.sign
-        for p, e in img.factors:
-            exps[slot(("factor", p), p.evaluate(point))][i] += e
-        for prime, e in img.unit.powers:
-            exps[slot(("prime", prime), complex(prime))][i] += e
+    try:
+        for i, img in enumerate(d.images):
+            if img.is_zero:
+                continue
+            signs[i] = img.unit.sign
+            for p, e in img.factors:
+                exps[slot(("factor", p), p.evaluate(point))][i] += e
+            for prime, e in img.unit.powers:
+                exps[slot(("prime", prime), complex(prime))][i] += e
+    except OverflowError:
+        raise OutOfFloatRange("a factor value leaves the float range") from None
 
     order = 1
     for row in exps:
@@ -105,16 +116,21 @@ def evaluate_description(
         if abs(value) <= tol and any(e < 0 for e in row):
             raise OnPole("a factor with negative exponent vanishes at the point")
 
-    roots = [value ** (1.0 / order) for value in values]
     numerators = [[int(e * order) for e in row] for row in exps]
     live = [i for i in range(n) if i not in d.zero_set]
     base = [0j] * n
-    for i in live:
-        acc = complex(signs[i])
-        for r, nums in zip(roots, numerators):
-            if nums[i]:
-                acc *= r ** nums[i]
-        base[i] = acc
+    try:
+        roots = [value ** (1.0 / order) for value in values]
+        for i in live:
+            acc = complex(signs[i])
+            for r, nums in zip(roots, numerators):
+                if nums[i]:
+                    acc *= r ** nums[i]
+            base[i] = acc
+    except OverflowError:
+        raise OutOfFloatRange("a branch value leaves the float range") from None
+    if not all(cmath.isfinite(z) for z in values + roots + base):
+        raise OutOfFloatRange("a branch value leaves the float range")
 
     zero = (0,) * len(live)
     columns = sorted(
@@ -129,18 +145,26 @@ def evaluate_description(
                 seen.add(g)
                 phases.append(g)
 
+    # sys.float_info.min keeps rounding relative: subnormal values stay out
+    floor = max(tol, sys.float_info.min)
+    gap = math.sin(math.pi / order)
+    separating = [k for k, i in enumerate(live) if abs(base[i]) * gap > floor]
     units = [_unit_root(phase, order) for phase in range(order)]
-    tuples: list[tuple[complex, ...]] = []
+    groups: dict[tuple[int, ...], list[tuple[complex, ...]]] = {}
     for h in phases:
         out = [0j] * n
         for i, phase in zip(live, h):
             out[i] = base[i] * units[phase]
         candidate = tuple(out)
+        group = groups.setdefault(tuple(h[k] for k in separating), [])
         if not any(
-            max(abs(a - b) for a, b in zip(candidate, kept)) <= tol for kept in tuples
+            max(abs(a - b) for a, b in zip(candidate, kept)) <= tol for kept in group
         ):
-            tuples.append(candidate)
-    tuples.sort(key=lambda t: tuple((z.real, z.imag) for z in t))
+            group.append(candidate)
+    tuples = sorted(
+        (t for group in groups.values() for t in group),
+        key=lambda t: tuple((z.real, z.imag) for z in t),
+    )
     return ValueSet(point, tuple(tuples), order)
 
 

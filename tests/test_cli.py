@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -375,6 +376,16 @@ def test_verify_ideal_segre(tmp_path, capsys):
     assert "does not vanish" in capsys.readouterr().out
 
 
+def test_verify_ideal_with_a_20_digit_prime(tmp_path, capsys):
+    # the coefficient is not factored, so this no longer runs for minutes
+    p = 10 ** 19 + 51
+    doc = dict(SEGRE, ideal=["%d*z0*z3 - %d*z1*z2" % (p, p)])
+    t0 = time.perf_counter()
+    assert main(["verify-ideal", write(tmp_path, "p.json", doc)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert "pulls back to 0" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # schema errors
 
@@ -472,6 +483,13 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     for text in ["nan", "inf", "-inf", "1e309", "1+nanj", "infj"]:
         assert main(["eval", root_path, "--point=" + text]) == 2, text
         assert "input error" in capsys.readouterr().err
+    # finite coordinates whose branch values overflow a float are refused
+    # too; t^(3/2) at 1e200 is 1e300 and still prints
+    for text in ["1e250", "-1e250", "1e250j"]:
+        assert main(["eval", root_path, "--point=" + text]) == 2, text
+        assert "float range" in capsys.readouterr().err
+    assert main(["eval", root_path, "--point=1e200"]) == 0
+    assert "1e+300" in capsys.readouterr().out
     non_finite = ["[[NaN]]", "[[Infinity]]", "[[-Infinity]]", "[[1e309]]",
                   "[[1%s]]" % ("0" * 400), '[["nan"]]', "[[[0, NaN]]]",
                   "[[[1e309, 0]]]"]

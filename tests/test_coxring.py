@@ -211,6 +211,17 @@ def test_content_and_primitive():
     assert gcd(*nums) == 1
 
 
+def test_sort_key_is_computed_once():
+    rng = random.Random(3)
+    for _ in range(20):
+        f = random_poly(rng, 3)
+        key = f.sort_key()
+        assert f.sort_key() is key
+        # a fresh copy of the terms gives an equal key, built anew
+        g = MPoly(3, dict(f.terms))
+        assert g.sort_key() == key and g.sort_key() is not key
+
+
 def test_monomial_degrees_in_torsion_group():
     quarter = ring_quarter_quotient()
     assert quarter.monomial_degree((1, 1)).is_zero

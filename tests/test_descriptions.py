@@ -252,6 +252,51 @@ def test_pullback_keeps_common_radical_part():
     assert pullback_polynomial(d, d.target.parse("u")).num == t
 
 
+@pytest.mark.parametrize("prime", [10 ** 19 + 51, 10 ** 29 + 319])
+def test_prime_coefficients_are_never_factored(prime):
+    # factoring the coefficient by trial division took about 3 s for the
+    # 16-digit prime 10^15 + 37, a cost that grows with its square root
+    d = segre()
+    vanishing = d.target.parse("%d*z0*z3 - %d*z1*z2" % (prime, prime))
+    perturbed = d.target.parse("%d*z0*z3 - %d*z1*z2 + %d*z0^2" % (prime, prime, prime))
+    t0 = time.perf_counter()
+    assert verify_ideal_vanishing(d, [vanishing]) == (True, None)
+    ok, (bad, pb) = verify_ideal_vanishing(d, [vanishing, perturbed])
+    assert time.perf_counter() - t0 < 1.0
+    assert not ok and bad == perturbed
+    assert pb.num == d.source.parse("%d*x0^2*y0^2" % prime)
+
+
+def test_segre_relations_cancel_before_expansion():
+    # images (AB, AC, DB, DC) of degree-6 forms: the quadric, a quartic
+    # multiple and a perturbed quadric took about 2 s when every monomial was
+    # expanded before the sum
+    rng = random.Random(6)
+    source = ring_p2()
+    monomials = [
+        (a, b, 6 - a - b) for a in range(7) for b in range(7 - a)
+    ]
+    forms = []
+    for _ in range(4):
+        f = MPoly.zero(3)
+        for exps in rng.sample(monomials, 14):
+            f = f + MPoly.monomial(3, exps, rng.choice((-9, -5, -2, 1, 3, 7)))
+        forms.append(f)
+    a, b, c, e = forms
+    images = [
+        FactoredSection.from_factors(3, [(p, 1), (q, 1)])
+        for p, q in ((a, b), (a, c), (e, b), (e, c))
+    ]
+    d = CoxDescription(source, ring_p3(), images)
+    quadric = d.target.parse("4000000007*z0*z3 - 4000000007*z1*z2")
+    quartic = quadric * d.target.parse("1000003*z0^2 - 1000033*z1*z2")
+    perturbed = quadric + d.target.parse("4000000009*z0*z2")
+    t0 = time.perf_counter()
+    verdicts = [verify_ideal_vanishing(d, [g])[0] for g in (quadric, quartic, perturbed)]
+    assert time.perf_counter() - t0 < 1.0
+    assert verdicts == [True, True, False]
+
+
 # ---------------------------------------------------------------------------
 # construction from character data
 

@@ -13,6 +13,7 @@ from coxmap.oracle import (
     AgreementReport,
     IrrelevantPoint,
     OnPole,
+    OutOfFloatRange,
     evaluate_description,
     evaluate_section,
     orbit_equal,
@@ -150,6 +151,39 @@ def test_radical_pairs_evaluate_in_time_linear_in_the_branches(pairs):
     assert len(vs.values) == 16
     for t in vs.values:
         assert orbit_equal(d.target, vs.values[0], t)
+
+
+def test_distinct_branches_merge_in_time_linear_in_the_branches():
+    # eighth roots of four distinct forms: 8^4 branches, all distinct; the
+    # pairwise merge took about 15 s
+    source = build_cox_ring(Fan.make(2, [(1, 0), (0, 1)], [{0, 1}]), ("x", "y"))
+    target = build_cox_ring(
+        Fan.make(4, [tuple(int(i == j) for i in range(4)) for j in range(4)],
+                 [{0, 1, 2, 3}]),
+        ("z0", "z1", "z2", "z3"),
+    )
+    forms = ["x + %d*y + %d" % (k + 1, 2 * k + 3) for k in range(4)]
+    d = desc(source, target, [[(f, Fraction(1, 8))] for f in forms])
+    t0 = time.perf_counter()
+    vs = evaluate_description(d, (2, 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert vs.root_order == 8
+    assert len(vs.values) == 4096
+    for value, f in zip(vs.values[0], forms):
+        assert abs(abs(value) - abs(d.source.parse(f).evaluate((2, 3))) ** 0.125) < 1e-9
+
+
+def test_overflowing_values_are_refused():
+    d = square_root_map()
+    vs = evaluate_description(d, (1e200,))
+    assert max(abs(t[0]) for t in vs.values) == pytest.approx(1e300)
+    for point in [(1e250,), (-1e250,), (1e250j,)]:
+        with pytest.raises(OutOfFloatRange):
+            evaluate_description(d, point)
+    # each factor value fits, their product does not
+    product = desc(ring_p1(), ring_p1(("a", "b")), [[("u", 1), ("v", 1)], [("u", 1)]])
+    with pytest.raises(OutOfFloatRange):
+        evaluate_description(product, (1e200, 1e200))
 
 
 def test_evaluate_section_rejects_roots():
