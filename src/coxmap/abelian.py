@@ -9,10 +9,8 @@ optional nonnegativity constraints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -445,10 +443,9 @@ def solve_rational(a: IntMatrix, b: Sequence, nonneg: bool = False):
     Args:
         a: coefficient matrix.
         b: right-hand side (ints or Fractions).
-        nonneg: when true, only solutions with every coordinate >= 0 count;
-            the returned one is then the lexicographically smallest feasible
-            point for systems with at most 12 variables (Fourier-Motzkin) and
-            a deterministic simplex vertex above that.
+        nonneg: when true, only solutions with every coordinate >= 0 count,
+            and the returned one is the lexicographically smallest of them
+            (``feasible_lexmin``).
 
     Returns:
         None when no (admissible) solution exists, else a pair
@@ -469,7 +466,7 @@ def solve_rational(a: IntMatrix, b: Sequence, nonneg: bool = False):
         x0[c] = aug[r][n]
     if not nonneg:
         return tuple(x0), nullspace
-    point = _solve_nonneg(a, [Fraction(y) for y in b])
+    point = feasible_lexmin(a, b)
     if point is None:
         return None
     return point, nullspace
@@ -487,150 +484,79 @@ def _nullspace_from_rref(aug, pivots, n):
     return tuple(basis)
 
 
-FOURIER_MOTZKIN_LIMIT = 12
+def feasible_lexmin(a: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """The lexicographically smallest x >= 0 with a x = b, or None.
 
-
-def _solve_nonneg(a: IntMatrix, b: list[Fraction]):
-    if a.cols <= FOURIER_MOTZKIN_LIMIT:
-        ineqs = []
-        for i in range(a.cols):
-            row = [Fraction(0)] * a.cols
-            row[i] = Fraction(-1)
-            ineqs.append((row, Fraction(0)))
-        for i in range(a.rows):
-            row = [Fraction(x) for x in a.row(i)]
-            ineqs.append((row, b[i]))
-            ineqs.append(([-x for x in row], -b[i]))
-        return feasible_lexmin(ineqs, a.cols)
-    return simplex_feasible(a, b)
-
-
-def _normalize_ineq(coeffs, rhs):
-    denoms = [x.denominator for x in coeffs] + [rhs.denominator]
-    nums = [x.numerator for x in coeffs] + [rhs.numerator]
-    scale = Fraction(lcm(*denoms), gcd(*(abs(x) for x in nums)) or 1)
-    return tuple(x * scale for x in coeffs), rhs * scale
-
-
-def feasible_lexmin(ineqs: list[tuple[list[Fraction], Fraction]], n: int):
-    """Exact Fourier-Motzkin feasibility for a system sum c_j x_j <= rhs.
-
-    Returns a feasible point or None.  Variables are eliminated from the last
-    to the first, and back-substitution picks the smallest feasible value of
-    each variable in turn, so when the feasible region is bounded below the
-    result is the lexicographically smallest point.
-    """
-    if n == 0:
-        return () if all(rhs >= 0 for _, rhs in ineqs) else None
-    stack = []
-    current = [( [Fraction(c) for c in coeffs], Fraction(rhs) ) for coeffs, rhs in ineqs]
-    for k in range(n - 1, -1, -1):
-        uppers = []  # x_k <= expr
-        lowers = []  # x_k >= expr
-        rest = []
-        seen = set()
-        for coeffs, rhs in current:
-            c = coeffs[k]
-            if c > 0:
-                uppers.append(([x / c for x in coeffs[:k]], rhs / c))
-            elif c < 0:
-                lowers.append(([x / c for x in coeffs[:k]], rhs / c))
-            else:
-                if any(coeffs[:k]):
-                    key = _normalize_ineq(tuple(coeffs[:k]), rhs)
-                    if key not in seen:
-                        seen.add(key)
-                        rest.append((list(key[0]), key[1]))
-                elif rhs < 0:
-                    return None
-        stack.append((uppers, lowers))
-        for (uc, ur), (lc, lr) in itertools.product(uppers, lowers):
-            # lower bound <= upper bound
-            coeffs = [ux - lx for ux, lx in zip(uc, lc)]
-            rhs = ur - lr
-            if any(coeffs):
-                key = _normalize_ineq(tuple(coeffs), rhs)
-                if key not in seen:
-                    seen.add(key)
-                    rest.append((list(key[0]), key[1]))
-            elif rhs < 0:
-                return None
-        current = rest
-    point: list[Fraction] = []
-    for k in range(n):
-        uppers, lowers = stack[n - 1 - k]
-        ubs = [rhs - sum(c * x for c, x in zip(coeffs, point)) for coeffs, rhs in uppers]
-        lbs = [rhs - sum(c * x for c, x in zip(coeffs, point)) for coeffs, rhs in lowers]
-        if lbs:
-            value = max(lbs)
-        elif ubs:
-            value = min(Fraction(0), min(ubs))
-        else:
-            value = Fraction(0)
-        if ubs and value > min(ubs):
-            return None
-        point.append(value)
-    return tuple(point)
-
-
-def simplex_feasible(a: IntMatrix, b: list[Fraction]):
-    """Phase-one simplex with Bland's rule: find x >= 0 with a x = b.
-
-    Deterministic but not lexicographically minimal; used above the
-    Fourier-Motzkin variable limit.
+    Phase one minimises the sum of artificial variables with Bland's rule,
+    then pivots every artificial still basic (at zero) out of the basis,
+    dropping the rows that are linear combinations of the others.  Then
+    x_0, x_1, ... are minimised in turn.  After each step every optimal
+    point has the nonbasic columns of positive reduced cost at zero, so
+    dropping them leaves exactly the optimal face for the next step.
+    Bland's rule makes every phase terminate.
     """
     m, n = a.rows, a.cols
-    rows = [[Fraction(x) for x in a.row(i)] + [b[i]] for i in range(m)]
-    for row in rows:
-        if row[-1] < 0:
-            for j in range(n + 1):
-                row[j] = -row[j]
-    # tableau with artificial variables; objective = sum of artificials
+    if len(b) != m:
+        raise DimensionMismatch("right-hand side length mismatch")
     tableau = []
-    for i, row in enumerate(rows):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(row[:n] + art + [row[n]])
-    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
     for i in range(m):
-        for j in range(n + m + 1):
-            obj[j] -= tableau[i][j]
+        row = [Fraction(x) for x in a.row(i)] + [Fraction(b[i])]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tableau.append(row[:n] + [Fraction(int(i == k)) for k in range(m)] + row[-1:])
     basis = [n + i for i in range(m)]
-    total = n + m
-    while True:
-        enter = None
-        for j in range(total):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][total] / tableau[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return None  # unbounded phase-one cannot happen; defensive
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tableau[leave])]
-        basis[leave] = enter
-    if -obj[total] != 0:
+    reduced = _minimise(tableau, basis, [0] * n + [1] * m, range(n + m))
+    if reduced[-1] != 0:  # some artificial variable stays positive
         return None
+    r = 0
+    while r < len(tableau):
+        if basis[r] >= n:
+            enter = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if enter is None:
+                del tableau[r], basis[r]
+                continue
+            _pivot(tableau, basis, r, enter)
+        r += 1
+    tableau = [row[:n] + row[-1:] for row in tableau]
+    columns = list(range(n))
+    for k in range(n):
+        reduced = _minimise(tableau, basis, [int(j == k) for j in range(n)], columns)
+        columns = [j for j in columns if reduced[j] == 0]
     x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tableau[i][total]
-    if any(v < 0 for v in x):
-        return None  # defensive; simplex keeps the tableau feasible
+    for row, j in zip(tableau, basis):
+        x[j] = row[-1]
     return tuple(x)
+
+
+def _pivot(tableau: list[list[Fraction]], basis: list[int], r: int, enter: int) -> None:
+    pivot = tableau[r][enter]
+    tableau[r] = [x / pivot for x in tableau[r]]
+    for i, row in enumerate(tableau):
+        f = row[enter]
+        if i != r and f != 0:
+            tableau[i] = [x - f * y for x, y in zip(row, tableau[r])]
+    basis[r] = enter
+
+
+def _minimise(tableau, basis, cost, columns) -> list[Fraction]:
+    """Minimise cost . x over the tableau's feasible region, letting only
+    ``columns`` (ascending) enter the basis, by Bland's rule.  Returns the
+    reduced costs of the optimal basis, with minus the optimum last.  The
+    objective must be bounded below, as a nonnegative cost is."""
+    reduced = [Fraction(c) for c in cost] + [Fraction(0)]
+    for row, j in zip(tableau, basis):
+        if cost[j]:
+            reduced = [d - cost[j] * x for d, x in zip(reduced, row)]
+    while True:
+        enter = next((j for j in columns if reduced[j] < 0), None)
+        if enter is None:
+            return reduced
+        leave = None
+        for i, row in enumerate(tableau):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        _pivot(tableau, basis, leave, enter)
+        f = reduced[enter]
+        reduced = [d - f * x for d, x in zip(reduced, tableau[leave])]

@@ -3,11 +3,12 @@
 Cones are stored combinatorially: a fan keeps primitive ray generators and
 the ray-index sets of its maximal cones; every other cone is a face of one
 of those.  Cone queries (membership, minimal containing face, the cones of
-a star fan over a given image) run on an integer H-representation of each
-cone -- equations and facet normals -- so they are exact integer dot
-products.  Face tests and the pairwise check in ``validate_fan`` solve
-small exact rational feasibility problems by Fourier-Motzkin.  There is no
-floating point anywhere in the decision path.
+a star fan over a given image), face tests and strong convexity run on an
+integer H-representation of each cone -- equations and facet normals -- so
+they are exact integer dot products.  The pairwise check in
+``validate_fan`` tries an integer separating functional built from facet
+normals and solves an exact LP only for the pairs where it fails.  There is
+no floating point anywhere in the decision path.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class ConeNotInFan(ValueError):
 
 class ValidationFailure(ValueError):
     pass
-
-
-PAIRWISE_CHECK_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class Fan:
     def is_face(self, indices: frozenset[int]) -> bool:
         """Whether the given rays span a cone of the fan.
 
-        True exactly when some maximal cone admits a supporting functional
-        vanishing on these rays and strictly positive on its other rays.
+        True exactly when they lie in some maximal cone and are all of its
+        rays on the smallest face containing their sum.
         """
         return _is_face_cached(self, frozenset(indices))
 
@@ -93,29 +91,17 @@ class Cone:
 def _is_face_cached(fan: Fan, indices: frozenset[int]) -> bool:
     if any(i < 0 or i >= fan.nrays for i in indices):
         return False
-    for cone in fan.max_cones:
-        if indices <= cone and _face_witness(fan, indices, cone) is not None:
-            return True
-    return False
+    return any(
+        indices <= cone and _spans_face(fan, hrep, indices)
+        for cone, hrep in zip(fan.max_cones, _max_cone_hreps(fan))
+    )
 
 
-def _face_witness(
-    fan: Fan, indices: frozenset[int], cone: frozenset[int], opposite: frozenset[int] = frozenset()
-):
-    """Functional vanishing on ``indices``, >= 1 on the cone's other rays and
-    <= -1 on the other rays of ``opposite``."""
-    ineqs = []
-    for i in sorted(indices):
-        ray = fan.rays[i]
-        ineqs.append(([Fraction(x) for x in ray], Fraction(0)))
-        ineqs.append(([Fraction(-x) for x in ray], Fraction(0)))
-    for j in sorted(cone - indices):
-        ray = fan.rays[j]
-        ineqs.append(([Fraction(-x) for x in ray], Fraction(-1)))
-    for j in sorted(opposite - indices):
-        ray = fan.rays[j]
-        ineqs.append(([Fraction(x) for x in ray], Fraction(-1)))
-    return feasible_lexmin(ineqs, fan.dim)
+def _spans_face(fan: Fan, hrep: _ConeHRep, indices: frozenset[int]) -> bool:
+    """Whether the given rays of the cone are all of its rays on some face,
+    namely on the smallest face containing their sum."""
+    total = [sum(fan.rays[i][d] for i in indices) for d in range(fan.dim)]
+    return hrep.minimal_face(total) == indices
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -210,22 +196,38 @@ def _facet_normals(dim: int, vecs: list[tuple[int, ...]], rank: int) -> list[tup
     return list(found.values())
 
 
-def _fan_cone_hrep(fan: Fan, indices: frozenset[int]) -> _ConeHRep:
-    return _cone_hrep(fan.dim, [(i, fan.rays[i]) for i in sorted(indices)])
+@lru_cache(maxsize=64)
+def _max_cone_hreps(fan: Fan) -> tuple[_ConeHRep, ...]:
+    """H-representation of each maximal cone of the fan, in order.  The
+    cache is keyed by value because every decoded document builds its fans
+    anew."""
+    return tuple(
+        _cone_hrep(fan.dim, [(i, fan.rays[i]) for i in sorted(cone)]) for cone in fan.max_cones
+    )
 
 
 def cone_contains(cone: Cone, v: Sequence) -> bool:
-    """Exact test for v in the cone (rational coordinates allowed)."""
-    if len(v) != cone.fan.dim:
+    """Exact test for v in the cone (rational coordinates allowed).
+
+    A cone of the fan is a face of the smallest maximal cone holding its
+    rays, and v lies in that face exactly when it lies in the maximal cone
+    and its minimal face there has no other rays.
+    """
+    fan = cone.fan
+    if len(v) != fan.dim:
         raise ValueError("point dimension mismatch")
-    return _fan_cone_hrep(cone.fan, cone.indices).contains([Fraction(x) for x in v])
+    containing = [k for k, c in enumerate(fan.max_cones) if cone.indices <= c]
+    if not containing:
+        raise ConeNotInFan("no maximal cone contains the given cone")
+    hrep = _max_cone_hreps(fan)[min(containing, key=lambda k: len(fan.max_cones[k]))]
+    vv = [Fraction(x) for x in v]
+    return hrep.contains(vv) and hrep.minimal_face(vv) <= cone.indices
 
 
 def minimal_cone_containing(fan: Fan, v: Sequence) -> Optional[Cone]:
     """The unique smallest cone of the fan containing v, or None outside."""
     vv = [Fraction(x) for x in v]
-    for cone in fan.max_cones:
-        hrep = _fan_cone_hrep(fan, cone)
+    for hrep in _max_cone_hreps(fan):
         if hrep.contains(vv):
             return Cone(fan, hrep.minimal_face(vv))
     return None
@@ -235,14 +237,16 @@ def validate_fan(fan: Fan) -> list[str]:
     """Check fan invariants; returns a list of human-readable violations.
 
     Ray primitivity and distinctness, cone index bounds, maximality of the
-    listed cones, strong convexity, and (for fans with at most 64 maximal
-    cones) the pairwise requirement that two cones intersect in a common
-    face.  By the separation lemma, cones meet exactly in the cone over
-    their common rays, a face of each, when some functional vanishes on the
-    common rays, is >= 1 on the other rays of the first cone and <= -1 on
-    the other rays of the second; one exact feasibility problem in ``dim``
-    variables per pair decides this, and only a failing pair runs the
-    face tests that name the violation.
+    listed cones, strong convexity, and, for every pair of maximal cones,
+    the requirement that they intersect in a common face.  By the
+    separation lemma (Cox-Little-Schenck, Lemma 1.2.13), two cones meet
+    exactly in the cone over their common rays, a face of each, when some
+    functional vanishes on the common rays, is positive on the other rays
+    of the first cone and negative on the other rays of the second.  Each
+    pair first tries the integer candidate u1 - u2, where ui sums the facet
+    normals of cone i that vanish on the common rays; only when it fails
+    does the pair solve the Farkas alternative, an exact LP, and only a
+    failing pair runs the face tests that name the violation.
     """
     problems = []
     seen = {}
@@ -269,28 +273,56 @@ def validate_fan(fan: Fan) -> list[str]:
         for c2, cone2 in enumerate(fan.max_cones):
             if c1 < c2 and (cone1 <= cone2 or cone2 <= cone1):
                 problems.append("cones %d and %d are nested, so one is not maximal" % (c1, c2))
-    for c, cone in enumerate(fan.max_cones):
-        if _face_witness(fan, frozenset(), cone) is None:
+    hreps = _max_cone_hreps(fan)
+    for c, (cone, hrep) in enumerate(zip(fan.max_cones, hreps)):
+        # linearly independent rays span a strongly convex cone
+        if len(cone) > fan.dim - len(hrep.equations) and hrep.minimal_face([0] * fan.dim):
             problems.append("cone %d is not strongly convex" % c)
     if problems:
         return problems
-    if len(fan.max_cones) <= PAIRWISE_CHECK_LIMIT:
-        for c1, cone1 in enumerate(fan.max_cones):
-            for c2, cone2 in enumerate(fan.max_cones):
-                if c1 >= c2:
-                    continue
-                problems.extend(_intersection_problems(fan, c1, cone1, c2, cone2))
+    for c1, c2 in itertools.combinations(range(len(fan.max_cones)), 2):
+        problems.extend(_intersection_problems(fan, hreps, c1, c2))
     return problems
 
 
-def _intersection_problems(fan, c1, cone1, c2, cone2) -> list[str]:
+def _intersection_problems(fan: Fan, hreps, c1: int, c2: int) -> list[str]:
+    cone1, cone2 = fan.max_cones[c1], fan.max_cones[c2]
+    hrep1, hrep2 = hreps[c1], hreps[c2]
     common = cone1 & cone2
-    if _face_witness(fan, common, cone1, cone2) is not None:
+    u1, u2 = (
+        [sum(n[d] for n, on in hrep.facets if common <= on) for d in range(fan.dim)]
+        for hrep in (hrep1, hrep2)
+    )
+    # u1 and u2 vanish on the common rays, which lie on every facet summed
+    m = [x - y for x, y in zip(u1, u2)]
+    if all(_dot(m, fan.rays[j]) > 0 for j in cone1 - common) and all(
+        _dot(m, fan.rays[k]) < 0 for k in cone2 - common
+    ):
         return []
-    for c, cone in ((c1, cone1), (c2, cone2)):
-        if _face_witness(fan, common, cone) is None:
+    if not _separation_alternative(fan, common, cone1 - common, cone2 - common):
+        return []
+    for c, hrep in ((c1, hrep1), (c2, hrep2)):
+        if not _spans_face(fan, hrep, common):
             return ["shared rays of cones %d and %d do not span a face of cone %d" % (c1, c2, c)]
     return ["cones %d and %d intersect outside their common face" % (c1, c2)]
+
+
+def _separation_alternative(fan: Fan, common, rest1, rest2) -> bool:
+    """Whether no functional vanishes on the ``common`` rays, is positive on
+    ``rest1`` and negative on ``rest2``.  By Farkas' lemma that happens
+    exactly when sum(b_j r_j) - sum(c_k r_k) + sum(a_i r_i) = 0 with b, c >= 0
+    summing to 1 and a free (j in rest1, k in rest2, i in common)."""
+    columns = (
+        [fan.rays[j] for j in sorted(rest1)]
+        + [[-x for x in fan.rays[k]] for k in sorted(rest2)]
+        + [fan.rays[i] for i in sorted(common)]
+        + [[-x for x in fan.rays[i]] for i in sorted(common)]
+    )
+    weights = [1] * (len(rest1) + len(rest2)) + [0] * (2 * len(common))
+    a = IntMatrix.from_rows(
+        [[col[d] for col in columns] for d in range(fan.dim)] + [weights], cols=len(columns)
+    )
+    return feasible_lexmin(a, [0] * fan.dim + [1]) is not None
 
 
 @dataclass(frozen=True)

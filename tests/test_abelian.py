@@ -1,20 +1,19 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 from coxmap.abelian import (
-    FOURIER_MOTZKIN_LIMIT,
     IntMatrix,
     cokernel,
-    feasible_lexmin,
     hermite_normal_form,
     rational_vector,
     saturated_kernel,
-    simplex_feasible,
     smith_normal_form,
     solve_rational,
 )
+from lp_reference import fourier_motzkin_lexmin, nonneg_lexmin
 
 
 def check_snf(a: IntMatrix) -> None:
@@ -193,44 +192,52 @@ def test_solve_rational_nonneg_lexmin():
 
 
 def test_feasible_lexmin_strict_system():
-    # m with <m, (1,0)> >= 1 and <m, (0,1)> >= 1: lex-min unbounded below is
-    # capped at the bound itself
+    # the reference on inequalities: m with <m, (1,0)> >= 1 and <m, (0,1)> >= 1
+    # is unbounded below, and its lex-min is capped at the bound itself
     ineqs = [
         ([Fraction(-1), Fraction(0)], Fraction(-1)),
         ([Fraction(0), Fraction(-1)], Fraction(-1)),
     ]
-    assert feasible_lexmin(ineqs, 2) == (1, 1)
-    assert feasible_lexmin([([Fraction(1)], Fraction(-1)), ([Fraction(-1)], Fraction(0))], 1) is None
-    assert feasible_lexmin([], 0) == ()
+    assert fourier_motzkin_lexmin(ineqs, 2) == (1, 1)
+    assert fourier_motzkin_lexmin([([Fraction(1)], Fraction(-1)), ([Fraction(-1)], Fraction(0))], 1) is None
+    assert fourier_motzkin_lexmin([], 0) == ()
 
 
-def test_simplex_matches_fourier_motzkin():
+def test_nonneg_solve_matches_fourier_motzkin_lexmin():
     rng = random.Random(17)
-    for _ in range(200):
+    feasible = 0
+    for _ in range(600):
         rows = rng.randint(1, 3)
-        cols = rng.randint(1, 4)
+        cols = rng.randint(1, 5)
         a = IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         )
-        b = [Fraction(rng.randint(-4, 4)) for _ in range(rows)]
-        fm = solve_rational(a, b, nonneg=True)
-        sx = simplex_feasible(a, b)
-        assert (fm is None) == (sx is None)
-        if fm is not None:
-            x, _ = fm
-            assert all(v >= 0 for v in x)
-            assert list(a.apply(x)) == list(b)
-            assert all(v >= 0 for v in sx)
-            assert list(a.apply(sx)) == list(b)
+        b = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))) for _ in range(rows)]
+        expected = nonneg_lexmin(a, b)
+        sol = solve_rational(a, b, nonneg=True)
+        assert (sol is None) == (expected is None), (a, b)
+        if sol is not None:
+            assert sol[0] == expected, (a, b)
+            feasible += 1
+    assert feasible >= 100
 
 
-def test_solve_rational_wide_system_uses_simplex():
-    n = FOURIER_MOTZKIN_LIMIT + 2
-    a = IntMatrix.from_rows([[1] * n])
-    sol = solve_rational(a, [5], nonneg=True)
-    assert sol is not None
-    x, _ = sol
-    assert sum(x) == 5 and all(v >= 0 for v in x)
+def test_nonneg_solve_on_cones_over_polygons():
+    # rays (i, i^2 - k i, 1) lie over the vertices of a convex k-gon; the
+    # point is their sum, inside the cone
+    for k in (8, 13, 20):
+        rays = [(i, i * i - k * i, 1) for i in range(k)]
+        a = IntMatrix.from_rows([[ray[d] for ray in rays] for d in range(3)])
+        b = [sum(ray[d] for ray in rays) for d in range(3)]
+        start = time.perf_counter()
+        sol = solve_rational(a, b, nonneg=True)
+        elapsed = time.perf_counter() - start
+        assert sol is not None
+        x, _ = sol
+        assert all(v >= 0 for v in x) and list(a.apply(x)) == b
+        # a vertex of the feasible region: at most rank-many nonzeros
+        assert sum(1 for v in x if v) <= 3
+        assert elapsed < 1.0, (k, elapsed)
 
 
 def test_rational_vector_builder():

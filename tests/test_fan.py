@@ -27,6 +27,7 @@ from varieties import (
     product_of_lines,
     projective_line,
     projective_plane,
+    projective_space_3,
     quarter_plane_quotient,
 )
 
@@ -85,6 +86,9 @@ def test_cone_membership():
     assert cone_contains(cone01, (2, 3))
     assert cone_contains(cone01, (0, 0))
     assert not cone_contains(cone01, (-1, 0))
+    # (1, 1) lies in the maximal cone {0, 1} but not in its face {0}
+    assert not cone_contains(fan.cone({0}), (1, 1))
+    assert cone_contains(fan.cone({0}), (3, 0))
     ray2 = fan.cone({2})
     assert cone_contains(ray2, (-2, -2))
     assert not cone_contains(ray2, (-2, -1))
@@ -142,6 +146,11 @@ def test_face_cache_is_bounded():
     for k in range(bound + 20):
         assert not fan.is_face(frozenset({0, 3 + k}))
     assert fan_module._is_face_cached.cache_info().currsize <= bound
+    bound = fan_module._max_cone_hreps.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 20):
+        assert minimal_cone_containing(Fan.make(2, [(1, 0), (k, 1)], [{0, 1}]), (k, 1))
+    assert fan_module._max_cone_hreps.cache_info().currsize <= bound
 
 
 def test_star_fan_of_ray_in_projective_plane():
@@ -224,6 +233,15 @@ def test_cube_fan_geometry():
     assert star.cones_with_image(star.image_gens(facet)) == [facet]
 
 
+def refuse_lps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fan geometry solved an LP")
+
+    for module in (abelian, fan_module):
+        for name in ("feasible_lexmin", "solve_rational"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
 def test_star_fan_queries_solve_no_lps(monkeypatch):
     fans = [projective_plane(), product_of_lines(), hirzebruch_surface(1), cube_fan()]
     faces = [
@@ -234,13 +252,7 @@ def test_star_fan_queries_solve_no_lps(monkeypatch):
         for face in itertools.combinations(sorted(cone), r)
         if fan.is_face(frozenset(face))
     ]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("star-fan geometry solved an LP")
-
-    for module in (abelian, fan_module):
-        for name in ("feasible_lexmin", "solve_rational"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    refuse_lps(monkeypatch)
     for sigma in faces:
         star = star_fan(sigma.fan, sigma)
         for v in itertools.product(range(-2, 3), repeat=star.lattice.rank):
@@ -248,6 +260,44 @@ def test_star_fan_queries_solve_no_lps(monkeypatch):
             tau = star.minimal_image_cone(v)
             assert sigma.indices <= tau
             assert tau in star.cones_with_image(star.image_gens(tau))
+
+
+def test_fan_decisions_solve_no_lps(monkeypatch):
+    fan_module._is_face_cached.cache_clear()
+    refuse_lps(monkeypatch)
+    # fan and its number of cones: the cube fan has the empty cone, 8 rays,
+    # 12 edges and 6 squares
+    for fan, ncones in ((projective_plane(), 7), (projective_space_3(), 15),
+                        (product_of_lines(4), 81), (hirzebruch_surface(1), 9),
+                        (cube_fan(), 27), (quarter_plane_quotient(), 4)):
+        assert validate_fan(fan) == []
+        faces = set()
+        for cone in fan.max_cones:
+            for r in range(len(cone) + 1):
+                for face in map(frozenset, itertools.combinations(sorted(cone), r)):
+                    if fan.is_face(face):
+                        faces.add(fan.cone(face).indices)
+                    else:
+                        with pytest.raises(ConeNotInFan):
+                            fan.cone(face)
+        assert len(faces) == ncones
+        for v in itertools.product(range(-2, 3), repeat=fan.dim):
+            cone = minimal_cone_containing(fan, v)
+            assert cone is None or cone_contains(cone, v)
+
+
+def test_validate_falls_back_to_the_lp(monkeypatch):
+    # on F_2 the facet-normal functional fails for the opposite cones
+    # {(1,0),(0,1)} and {(-1,2),(0,-1)}: it vanishes on (-1,2)
+    calls = []
+
+    def counting(a, b):
+        calls.append(a)
+        return abelian.feasible_lexmin(a, b)
+
+    monkeypatch.setattr(fan_module, "feasible_lexmin", counting)
+    assert validate_fan(hirzebruch_surface(2)) == []
+    assert calls
 
 
 def test_ray_projection_map_for_ray_star():

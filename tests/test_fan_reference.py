@@ -1,11 +1,15 @@
 """Fan geometry against an LP reference on seeded random fans.
 
-The reference is the earlier formulation: the pairwise check of
-``validate_fan`` solves for a point of both cones in |cone1| + |cone2|
-variables on which a face witness of the common rays is positive, and cone
-membership and minimal faces are exact nonnegative solves.  The library
-answers the same questions with one separation system per pair and integer
-H-representations; every answer must agree, messages included.
+The reference is the earlier formulation, on the Fourier-Motzkin LPs of
+``lp_reference``: face tests and strong convexity ask for a functional
+vanishing on some rays and >= 1 on the cone's other rays; the pairwise
+check of ``validate_fan`` accepts a pair with a separating functional and
+otherwise solves for a point of both cones in |cone1| + |cone2| variables
+on which a face witness of the common rays is positive; cone membership
+and minimal faces are exact nonnegative solves.
+The library answers the same questions with integer H-representations, an
+integer separating functional per pair and, where that fails, one simplex
+LP; every answer must agree, messages included.
 """
 
 from __future__ import annotations
@@ -15,17 +19,16 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from coxmap import fan as fan_module
-from coxmap.abelian import IntMatrix, feasible_lexmin, solve_rational
+from coxmap.abelian import IntMatrix
 from coxmap.fan import (
     Cone,
     Fan,
-    _face_witness,
     cone_contains,
     minimal_cone_containing,
     star_fan,
     validate_fan,
 )
+from lp_reference import fourier_motzkin_lexmin, nonneg_lexmin
 from varieties import (
     cube_fan,
     hirzebruch_surface,
@@ -39,8 +42,28 @@ COMPLETE_FANS = [projective_plane(), product_of_lines(), hirzebruch_surface(2),
                  projective_space_3(), cube_fan()]
 
 
+def _face_witness(fan, indices, cone, opposite=frozenset()):
+    """Functional vanishing on ``indices``, >= 1 on the cone's other rays and
+    <= -1 on the other rays of ``opposite``."""
+    ineqs = []
+    for i in sorted(indices):
+        ray = fan.rays[i]
+        ineqs.append(([Fraction(x) for x in ray], Fraction(0)))
+        ineqs.append(([Fraction(-x) for x in ray], Fraction(0)))
+    for j in sorted(cone - indices):
+        ineqs.append(([Fraction(-x) for x in fan.rays[j]], Fraction(-1)))
+    for j in sorted(opposite - indices):
+        ineqs.append(([Fraction(x) for x in fan.rays[j]], Fraction(-1)))
+    return fourier_motzkin_lexmin(ineqs, fan.dim)
+
+
 def reference_intersection_problems(fan, c1, cone1, c2, cone2) -> list[str]:
     common = cone1 & cone2
+    # a separating functional shows that the cones meet in their common face
+    # (the cheap direction of the separation lemma); every other pair is
+    # decided by looking for a point of both cones outside that face
+    if _face_witness(fan, common, cone1, cone2) is not None:
+        return []
     m1 = _face_witness(fan, common, cone1)
     if m1 is None:
         return ["shared rays of cones %d and %d do not span a face of cone %d" % (c1, c2, c1)]
@@ -63,21 +86,59 @@ def reference_intersection_problems(fan, c1, cone1, c2, cone2) -> list[str]:
         -sum(Fraction(m1[d]) * fan.rays[i][d] for d in range(fan.dim)) for i in g1
     ] + [Fraction(0)] * len(g2)
     ineqs.append((m1row, Fraction(-1)))
-    if feasible_lexmin(ineqs, n) is not None:
+    if fourier_motzkin_lexmin(ineqs, n) is not None:
         return ["cones %d and %d intersect outside their common face" % (c1, c2)]
     return []
 
 
-def reference_validate_fan(fan, monkeypatch) -> list[str]:
-    # every check before the pairwise one is shared code
-    with monkeypatch.context() as patch:
-        patch.setattr(fan_module, "_intersection_problems", reference_intersection_problems)
-        return validate_fan(fan)
+def reference_validate_fan(fan) -> list[str]:
+    problems = []
+    seen = {}
+    for i, ray in enumerate(fan.rays):
+        if len(ray) != fan.dim:
+            problems.append("ray %d has length %d, expected %d" % (i, len(ray), fan.dim))
+            continue
+        if not any(ray):
+            problems.append("ray %d is zero" % i)
+        elif gcd(*(abs(x) for x in ray)) != 1:
+            problems.append("ray %d = %s is not primitive" % (i, list(ray)))
+        if ray in seen:
+            problems.append("rays %d and %d coincide" % (seen[ray], i))
+        else:
+            seen[ray] = i
+    if problems:
+        return problems
+    for c, cone in enumerate(fan.max_cones):
+        if any(i < 0 or i >= fan.nrays for i in cone):
+            problems.append("cone %d uses an out-of-range ray index" % c)
+    if problems:
+        return problems
+    for c1, cone1 in enumerate(fan.max_cones):
+        for c2, cone2 in enumerate(fan.max_cones):
+            if c1 < c2 and (cone1 <= cone2 or cone2 <= cone1):
+                problems.append("cones %d and %d are nested, so one is not maximal" % (c1, c2))
+    for c, cone in enumerate(fan.max_cones):
+        if _face_witness(fan, frozenset(), cone) is None:
+            problems.append("cone %d is not strongly convex" % c)
+    if problems:
+        return problems
+    for c1, cone1 in enumerate(fan.max_cones):
+        for c2, cone2 in enumerate(fan.max_cones):
+            if c1 < c2:
+                problems.extend(reference_intersection_problems(fan, c1, cone1, c2, cone2))
+    return problems
+
+
+def reference_is_face(fan, indices) -> bool:
+    return all(0 <= i < fan.nrays for i in indices) and any(
+        indices <= cone and _face_witness(fan, indices, cone) is not None
+        for cone in fan.max_cones
+    )
 
 
 def reference_contains(gens, v, dim) -> bool:
     cols = IntMatrix.from_rows([[gen[d] for gen in gens] for d in range(dim)], cols=len(gens))
-    return solve_rational(cols, list(v), nonneg=True) is not None
+    return nonneg_lexmin(cols, list(v)) is not None
 
 
 def reference_minimal_face(gens: dict, v, dim) -> frozenset[int]:
@@ -89,7 +150,7 @@ def reference_minimal_face(gens: dict, v, dim) -> frozenset[int]:
         ineqs.append(([Fraction(x) for x in v], Fraction(0)))
         ineqs.append(([Fraction(-x) for x in v], Fraction(0)))
         ineqs.append(([Fraction(-x) for x in gen], Fraction(-1)))
-        if feasible_lexmin(ineqs, dim) is None:
+        if fourier_motzkin_lexmin(ineqs, dim) is None:
             face.add(i)
     return frozenset(face)
 
@@ -145,16 +206,54 @@ def random_points(rng, dim, count):
     ]
 
 
-def test_validate_fan_matches_reference(monkeypatch):
+def test_validate_fan_matches_reference():
     rng = random.Random(41)
     rejected = 0
     for k in range(240):
         fan = random_fan(rng) if k % 3 else transformed(rng, rng.choice(COMPLETE_FANS))
         problems = validate_fan(fan)
-        assert problems == reference_validate_fan(fan, monkeypatch), fan
+        assert problems == reference_validate_fan(fan), fan
+        for cone in fan.max_cones:
+            for r in range(len(cone) + 1):
+                for face in map(frozenset, itertools.combinations(sorted(cone), r)):
+                    assert fan.is_face(face) == reference_is_face(fan, face), (fan, face)
         rejected += bool(problems)
     # both kinds of fan occur
     assert 40 < rejected < 200
+
+
+def test_validate_fan_special_cases_match_reference():
+    # (P^1)^6 plus the cone {(1,1,0,0,0,0), e3, e4, e5, e6, -e1}: 65 cones,
+    # more than the 64 above which the pairwise check used to be skipped
+    lines = product_of_lines(6)
+    overlapping = Fan.make(
+        6, list(lines.rays) + [(1, 1, 0, 0, 0, 0)], list(lines.max_cones) + [{12, 4, 6, 8, 10, 1}]
+    )
+    problems = validate_fan(overlapping)
+    assert "cones 0 and 64 intersect outside their common face" in problems
+    assert problems == reference_validate_fan(overlapping)
+    # five rays in angular order, coned off in pentagram order: the cones
+    # wind twice around the origin
+    pentagram = Fan.make(
+        2, [(1, 0), (1, 3), (-1, 1), (-1, -1), (1, -3)], [{0, 2}, {2, 4}, {4, 1}, {1, 3}, {3, 0}]
+    )
+    # cones over the triangles ABD, BCM and CDM of a square ABCD, with M the
+    # midpoint of BD: the edge BD of the first is split between the others
+    split = Fan.make(
+        3, [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (1, 1, 1)], [{0, 1, 3}, {1, 2, 4}, {2, 3, 4}]
+    )
+    # two simplicial cones whose shared rays are no face of one of them; the
+    # sum of facet normals is zero on an unshared ray of the first cone, and
+    # in the second fan of the second cone
+    zero_on_first = Fan.make(
+        3, [(0, -1, 0), (1, -2, 2), (1, -2, -2), (-1, -1, 2)], [{0, 2, 3}, {0, 1, 2}]
+    )
+    zero_on_second = Fan.make(
+        3, [(-1, 0, 2), (1, 1, 2), (-2, 1, -1), (-2, -1, 0)], [{0, 2, 3}, {0, 1, 3}]
+    )
+    for fan in (pentagram, split, zero_on_first, zero_on_second):
+        problems = validate_fan(fan)
+        assert problems and problems == reference_validate_fan(fan)
 
 
 def test_cone_queries_match_reference():
