@@ -225,9 +225,12 @@ def _factor_problems(ring: ToricCoxRing, polys: Sequence[MPoly]) -> list[str]:
             )
         if prim not in distinct:
             distinct.append(prim)
-    for p in distinct:
-        for q in distinct:
-            if p is not q and exact_divide(p, q) is not None:
+    # distinct normalized factors of equal degree cannot divide each other:
+    # the quotient would be a positive constant, so it would be 1
+    degrees = [p.total_degree() for p in distinct]
+    for p, dp in zip(distinct, degrees):
+        for q, dq in zip(distinct, degrees):
+            if dq < dp and exact_divide(p, q) is not None:
                 problems.append(
                     "factor %s divides factor %s, so the latter is reducible"
                     % (ring.poly_str(q), ring.poly_str(p))

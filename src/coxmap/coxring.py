@@ -308,13 +308,19 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 def build_cox_ring(fan: Fan, names: Sequence[str]) -> ToricCoxRing:
     """Cox ring of a fan, with the class group presented as the cokernel of
-    the ray pairing matrix and one graded variable per ray.
+    the ray pairing matrix and one graded variable per ray.  Each distinct
+    fan and name tuple is built once, Smith form included, and the ring is
+    shared between equal ones.
 
     Args:
         fan: source or target fan; rays index the variables.
         names: variable names, one per ray, distinct identifiers.
     """
-    names = tuple(names)
+    return _cox_ring(fan, tuple(names))
+
+
+@lru_cache(maxsize=64)
+def _cox_ring(fan: Fan, names: tuple[str, ...]) -> ToricCoxRing:
     if len(names) != fan.nrays:
         raise NameCollision(
             "expected %d variable names, got %d" % (fan.nrays, len(names))

@@ -17,7 +17,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from math import lcm
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from coxmap.abelian import IntMatrix, hermite_normal_form, solve_rational
 from coxmap.coxring import (
@@ -89,7 +91,11 @@ class IncompleteDescription(ValueError):
 
 
 class CoxDescription:
-    """Images of the target Cox variables as sections over the source."""
+    """Images of the target Cox variables as sections over the source.
+
+    A description keeps the divisor diagnoses made on it, keyed by the
+    primitive divisor, so each divisor is diagnosed once per description.
+    """
 
     def __init__(
         self,
@@ -108,6 +114,12 @@ class CoxDescription:
         self.source = source
         self.target = target
         self.images = images
+        self._diagnoses: dict[MPoly, DivisorDiagnosis] = {}
+
+    @property
+    def diagnoses(self) -> Mapping[MPoly, "DivisorDiagnosis"]:
+        """The diagnoses kept so far, by primitive divisor (read-only)."""
+        return MappingProxyType(self._diagnoses)
 
     @cached_property
     def zero_set(self) -> frozenset[int]:
@@ -460,13 +472,11 @@ def twist_description(
     delta = [Fraction(x) for x in delta]
     if len(delta) != d.target.nvars:
         raise ValueError("one twist exponent per target variable required")
-    L = ray_projection_map(d.star)
-    image = [
-        sum((delta[i] * L[r, i] for i in range(L.cols)), Fraction(0))
-        for r in range(L.rows)
-    ]
-    if any(image):
-        raise NotInKernel("twist vector projects to %s" % (image,))
+    sums, den = _scaled_projection(ray_projection_map(d.star), delta)
+    if any(sums):
+        raise NotInKernel(
+            "twist vector projects to %s" % ([Fraction(s, den) for s in sums],)
+        )
     images = []
     for i, img in enumerate(d.images):
         if img.is_zero or delta[i] == 0:
@@ -480,9 +490,25 @@ def twist_description(
             )
     twisted = CoxDescription(d.source, d.target, images)
     if twisted.zero_set == d.zero_set:
-        # same target fan and zero set: share the cone and its star fan
+        # same target fan and zero set: share the cone and its star fan; the
+        # orders along every other divisor are unchanged, so are their
+        # diagnoses
         twisted.__dict__.update(sigma=d.sigma, star=d.star)
+        if not f.is_zero:
+            _, prim = f.content_and_primitive()
+            twisted._diagnoses.update(
+                (g, diag) for g, diag in d._diagnoses.items() if g != prim
+            )
     return twisted
+
+
+def _scaled_projection(L: IntMatrix, v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """L·v in integers: the common denominator den of v and, for each row r,
+    the sum of L[r, i]·v_i·den over the nonzero entries of v only."""
+    support = [(i, x) for i, x in enumerate(v) if x]
+    den = lcm(*(x.denominator for _, x in support))
+    scaled = [(i, x.numerator * (den // x.denominator)) for i, x in support]
+    return tuple(sum(row[i] * m for i, m in scaled) for row in L.entries), den
 
 
 def candidate_divisors(d: CoxDescription) -> list[MPoly]:
@@ -526,12 +552,23 @@ def divisor_status(d: CoxDescription, f: MPoly) -> DivisorDiagnosis:
     leaves the star fan's support, the description already matches the map
     when the orders are nonnegative and supported inside one maximal cone,
     and otherwise a twist supported on a cone over the projection repairs
-    it.
+    it.  The diagnosis is kept on the description, so asking again for the
+    same divisor costs a lookup.
     """
+    known = d._diagnoses.get(f)
+    if known is not None:
+        return known
     validate_description(d)
     _, prim = f.content_and_primitive()
     if prim.is_constant:
         raise ValueError("divisors come from non-constant polynomials")
+    known = d._diagnoses.get(prim)
+    if known is None:
+        known = d._diagnoses[prim] = _diagnose(d, prim)
+    return known
+
+
+def _diagnose(d: CoxDescription, prim: MPoly) -> DivisorDiagnosis:
     n = d.target.nvars
     mu = tuple(
         Fraction(0) if i in d.zero_set else d.images[i].exponent_of(prim)
@@ -539,14 +576,13 @@ def divisor_status(d: CoxDescription, f: MPoly) -> DivisorDiagnosis:
     )
     star = d.star
     L = ray_projection_map(star)
-    l_mu = [
-        sum((mu[i] * L[r, i] for i in range(n)), Fraction(0)) for r in range(L.rows)
-    ]
-    if any(x.denominator != 1 for x in l_mu):
+    sums, den = _scaled_projection(L, mu)
+    if any(s % den for s in sums):
         raise NonIntegralL(
-            "orders %s project to the non-lattice point %s" % (mu, l_mu)
+            "orders %s project to the non-lattice point %s"
+            % (mu, [Fraction(s, den) for s in sums])
         )
-    l_mu = tuple(int(x) for x in l_mu)
+    l_mu = tuple(s // den for s in sums)
     if not star.support_contains(l_mu):
         return DivisorDiagnosis(prim, mu, l_mu, DivisorStatus.NON_REGULAR_MAP_LOCUS)
     vanishing = d.zero_set | {i for i in range(n) if mu[i] > 0}
@@ -604,7 +640,9 @@ def complete(d: CoxDescription) -> tuple[CoxDescription, tuple[CompletionEntry, 
     diagnosis asks for it, until each divisor either agrees or witnesses a
     locus where the map is undefined.  A twist only changes orders along
     its own divisor, so one pass per candidate plus a verification pass is
-    a strict bound; exceeding it raises NonTermination.
+    a strict bound; exceeding it raises NonTermination.  A twist hands the
+    other divisors' diagnoses on, so later passes, the entries and a
+    ``regularity_report`` of the result diagnose only twisted divisors anew.
     """
     candidates = candidate_divisors(d)
     current = d

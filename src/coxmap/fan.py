@@ -247,7 +247,15 @@ def validate_fan(fan: Fan) -> list[str]:
     normals of cone i that vanish on the common rays; only when it fails
     does the pair solve the Farkas alternative, an exact LP, and only a
     failing pair runs the face tests that name the violation.
+
+    Each distinct fan is checked once, because every decoded document
+    builds its fans anew; each call returns a list of its own.
     """
+    return list(_fan_violations(fan))
+
+
+@lru_cache(maxsize=64)
+def _fan_violations(fan: Fan) -> tuple[str, ...]:
     problems = []
     seen = {}
     for i, ray in enumerate(fan.rays):
@@ -263,12 +271,12 @@ def validate_fan(fan: Fan) -> list[str]:
         else:
             seen[ray] = i
     if problems:
-        return problems
+        return tuple(problems)
     for c, cone in enumerate(fan.max_cones):
         if any(i < 0 or i >= fan.nrays for i in cone):
             problems.append("cone %d uses an out-of-range ray index" % c)
     if problems:
-        return problems
+        return tuple(problems)
     for c1, cone1 in enumerate(fan.max_cones):
         for c2, cone2 in enumerate(fan.max_cones):
             if c1 < c2 and (cone1 <= cone2 or cone2 <= cone1):
@@ -279,10 +287,10 @@ def validate_fan(fan: Fan) -> list[str]:
         if len(cone) > fan.dim - len(hrep.equations) and hrep.minimal_face([0] * fan.dim):
             problems.append("cone %d is not strongly convex" % c)
     if problems:
-        return problems
+        return tuple(problems)
     for c1, c2 in itertools.combinations(range(len(fan.max_cones)), 2):
         problems.extend(_intersection_problems(fan, hreps, c1, c2))
-    return problems
+    return tuple(problems)
 
 
 def _intersection_problems(fan: Fan, hreps, c1: int, c2: int) -> list[str]:
@@ -400,9 +408,18 @@ class StarFan:
 
 
 def star_fan(fan: Fan, sigma: Cone) -> StarFan:
-    """Star of a cone: every maximal cone containing it, projected to N(sigma)."""
+    """Star of a cone: every maximal cone containing it, projected to N(sigma).
+
+    Built once per distinct fan and cone and shared between equal ones.
+    """
     if sigma.fan != fan:
         raise ConeNotInFan("cone belongs to a different fan")
+    return _star_fan(fan, sigma.indices)
+
+
+@lru_cache(maxsize=64)
+def _star_fan(fan: Fan, indices: frozenset[int]) -> StarFan:
+    sigma = Cone(fan, indices)
     lattice = quotient_by_span(fan.dim, [fan.rays[i] for i in sorted(sigma.indices)])
     images = [lattice.project(ray) for ray in fan.rays]
     ray_map = IntMatrix.from_rows(

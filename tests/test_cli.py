@@ -555,6 +555,25 @@ def test_factor_sanity_and_trust(tmp_path, capsys):
     assert "reducible" in capsys.readouterr().err
 
 
+def test_factor_check_divides_only_by_lower_degree(monkeypatch):
+    from coxmap import cli as cli_module
+
+    ring = ring_p2()
+    calls = []
+    real = cli_module.exact_divide
+    monkeypatch.setattr(
+        cli_module, "exact_divide", lambda p, q: calls.append((p, q)) or real(p, q)
+    )
+    polys = [ring.parse(t) for t in ("x0", "x1 + x2", "x0 + x1", "x0^2 + x0*x2", "x1^2 + x2^2")]
+    problems = cli_module._factor_problems(ring, polys)
+    assert problems == ["factor x0 divides factor x0^2 + x0*x2, so the latter is reducible"]
+    assert calls and all(q.total_degree() < p.total_degree() for p, q in calls)
+    # equal degrees alone are never divided
+    calls.clear()
+    assert cli_module._factor_problems(ring, polys[:3]) == []
+    assert calls == []
+
+
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "c.json", CREMONA)
     proc = subprocess.run(

@@ -44,6 +44,11 @@ def hirzebruch_surface(a):
     return Fan.make(2, [(1, 0), (0, 1), (-1, a), (0, -1)], [{0, 1}, {1, 2}, {2, 3}, {0, 3}])
 
 
+def plane_mod_3():
+    """P^2 modulo mu_3 acting with weights (0, 1, 2): class group Z + Z/3."""
+    return Fan.make(2, [(2, -1), (-1, 2), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
+
+
 def cube_fan():
     """Cones over the six square faces of the cube [-1, 1]^3: complete and
     not simplicial."""
