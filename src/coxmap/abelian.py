@@ -3,8 +3,8 @@
 Everything here runs on arbitrary-precision integers and ``Fraction``s; no
 floating point enters any decision.  The module provides Smith and Hermite
 normal forms with unimodular witnesses, finitely generated abelian groups
-presented as cokernels, saturated kernels, and exact linear solvers with
-optional nonnegativity constraints.
+presented as cokernels, saturated kernels, an exact linear solver, and the
+lexicographically smallest nonnegative solution of a linear system.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from typing import Optional, Sequence
 
 class DimensionMismatch(ValueError):
     pass
-
-
-# A rational vector is just a tuple of Fractions; helpers below build them.
-RationalVector = tuple
 
 
 def rational_vector(entries: Sequence) -> tuple[Fraction, ...]:
@@ -307,16 +303,6 @@ class FGAbelianGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
-    def rational_image(self, ambient: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Free part of the image of a rational ambient vector (torsion dies in Cl x Q)."""
-        if len(ambient) != self.ambient_dim:
-            raise DimensionMismatch("ambient vector length mismatch")
-        return tuple(
-            sum((Fraction(self.quotient_map[i, j]) * ambient[j] for j in range(self.ambient_dim)),
-                Fraction(0))
-            for i in range(self.free_rank)
-        )
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -437,39 +423,30 @@ def _row_reduce(aug: list[list[Fraction]], ncols: int) -> tuple[list[int], bool]
     return pivots, consistent
 
 
-def solve_rational(a: IntMatrix, b: Sequence, nonneg: bool = False):
+def solve_rational(a: IntMatrix, b: Sequence):
     """Solve a x = b over the rationals.
 
     Args:
         a: coefficient matrix.
         b: right-hand side (ints or Fractions).
-        nonneg: when true, only solutions with every coordinate >= 0 count,
-            and the returned one is the lexicographically smallest of them
-            (``feasible_lexmin``).
 
     Returns:
-        None when no (admissible) solution exists, else a pair
-        (solution, nullspace_basis) where the basis spans the rational kernel
-        of ``a``.  Without the nonneg flag the particular solution sets all
-        free variables to zero.
+        None when no solution exists, else a pair (solution,
+        nullspace_basis) where the particular solution sets all free
+        variables to zero and the basis spans the rational kernel of ``a``.
+        ``feasible_lexmin`` solves with x >= 0.
     """
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side length mismatch")
     n = a.cols
     aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a.entries)]
     pivots, consistent = _row_reduce(aug, n)
-    nullspace = _nullspace_from_rref(aug, pivots, n)
     if not consistent:
         return None
     x0 = [Fraction(0)] * n
     for r, c in enumerate(pivots):
         x0[c] = aug[r][n]
-    if not nonneg:
-        return tuple(x0), nullspace
-    point = feasible_lexmin(a, b)
-    if point is None:
-        return None
-    return point, nullspace
+    return tuple(x0), _nullspace_from_rref(aug, pivots, n)
 
 
 def _nullspace_from_rref(aug, pivots, n):

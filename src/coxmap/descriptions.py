@@ -21,10 +21,11 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from coxmap.abelian import IntMatrix, hermite_normal_form, solve_rational
+from coxmap.abelian import IntMatrix, feasible_lexmin, hermite_normal_form, solve_rational
 from coxmap.coxring import (
     MPoly,
     ToricCoxRing,
+    format_poly,
     homogeneous_degree,
 )
 from coxmap.fan import (
@@ -489,16 +490,13 @@ def twist_description(
                 )
             )
     twisted = CoxDescription(d.source, d.target, images)
-    if twisted.zero_set == d.zero_set:
-        # same target fan and zero set: share the cone and its star fan; the
-        # orders along every other divisor are unchanged, so are their
+    if twisted.zero_set == d.zero_set and not f.is_zero:
+        # the orders along every other divisor are unchanged, so are their
         # diagnoses
-        twisted.__dict__.update(sigma=d.sigma, star=d.star)
-        if not f.is_zero:
-            _, prim = f.content_and_primitive()
-            twisted._diagnoses.update(
-                (g, diag) for g, diag in d._diagnoses.items() if g != prim
-            )
+        _, prim = f.content_and_primitive()
+        twisted._diagnoses.update(
+            (g, diag) for g, diag in d._diagnoses.items() if g != prim
+        )
     return twisted
 
 
@@ -601,11 +599,11 @@ def _diagnose(d: CoxDescription, prim: MPoly) -> DivisorDiagnosis:
     columns = IntMatrix.from_rows(
         [[L[r, i] for i in support] for r in range(L.rows)], cols=len(support)
     )
-    sol = solve_rational(columns, list(l_mu), nonneg=True)
+    sol = feasible_lexmin(columns, l_mu)
     assert sol is not None
     mu_prime = [Fraction(0)] * n
     for k, i in enumerate(support):
-        mu_prime[i] = sol[0][k]
+        mu_prime[i] = sol[k]
     return DivisorDiagnosis(
         prim,
         mu,
@@ -636,33 +634,30 @@ class CompletionEntry:
 def complete(d: CoxDescription) -> tuple[CoxDescription, tuple[CompletionEntry, ...]]:
     """Repair the description along every stored divisor.
 
-    Iterates over the initial candidate divisors, twisting wherever the
-    diagnosis asks for it, until each divisor either agrees or witnesses a
-    locus where the map is undefined.  A twist only changes orders along
-    its own divisor, so one pass per candidate plus a verification pass is
-    a strict bound; exceeding it raises NonTermination.  A twist hands the
-    other divisors' diagnoses on, so later passes, the entries and a
-    ``regularity_report`` of the result diagnose only twisted divisors anew.
+    One pass over the initial candidate divisors twists wherever the
+    diagnosis asks for it.  That pass is enough: the twist along f leaves
+    f agreeing (mu' >= 0 is supported on tau_y, which lies in a maximal
+    cone, and L mu' = L mu) and leaves the orders along every other divisor
+    unchanged, so it hands their diagnoses on.  The entries therefore
+    diagnose only twisted divisors anew; a divisor that still needs
+    modification there raises NonTermination.
     """
     candidates = candidate_divisors(d)
     current = d
     triggers: dict[MPoly, DivisorDiagnosis] = {}
-    for _ in range(len(candidates) + 1):
-        changed = False
-        for f in candidates:
-            diag = divisor_status(current, f)
-            if diag.status == DivisorStatus.NEEDS_MODIFICATION:
-                triggers[f] = diag
-                current = complete_along(current, diag)
-                changed = True
-        if not changed:
-            break
-    else:
-        raise NonTermination("completion did not settle within the pass bound")
+    for f in candidates:
+        diag = divisor_status(current, f)
+        if diag.status == DivisorStatus.NEEDS_MODIFICATION:
+            triggers[f] = diag
+            current = complete_along(current, diag)
     entries = []
     for f in candidates:
         diag = divisor_status(current, f)
-        assert diag.status != DivisorStatus.NEEDS_MODIFICATION
+        if diag.status == DivisorStatus.NEEDS_MODIFICATION:
+            raise NonTermination(
+                "divisor %s still needs modification after the repair pass"
+                % format_poly(f, d.source.names)
+            )
         entries.append(
             CompletionEntry(f, diag.status, f in triggers, triggers.get(f, diag))
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -34,21 +34,30 @@ class ConeNotInFan(ValueError):
     pass
 
 
-class ValidationFailure(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Fan:
-    """A fan given by primitive rays and maximal cones as ray-index sets."""
+    """A fan given by primitive rays and maximal cones as ray-index sets.
+
+    Everything derived from a fan is kept on it: the maximal cones'
+    H-representations, the fan check, the cones answered by ``cone`` and
+    ``is_face``, and the star fans.  ``Fan.make`` hands out one fan per
+    distinct input, so equal fans share all of it; a ``Fan(...)`` built
+    directly gives the same answers and shares them with nobody.
+    """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[frozenset[int], ...]
+    _faces: dict[frozenset[int], Optional["Cone"]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _stars: dict[frozenset[int], "StarFan"] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def make(cls, dim: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]) -> "Fan":
-        return cls(
+        return _interned(
             int(dim),
             tuple(tuple(int(x) for x in ray) for ray in rays),
             tuple(frozenset(int(i) for i in cone) for cone in max_cones),
@@ -58,11 +67,24 @@ class Fan:
     def nrays(self) -> int:
         return len(self.rays)
 
+    @cached_property
+    def _hreps(self) -> tuple[_ConeHRep, ...]:
+        """H-representation of each maximal cone, in order."""
+        return tuple(
+            _cone_hrep(self.dim, [(i, self.rays[i]) for i in sorted(cone)])
+            for cone in self.max_cones
+        )
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return _fan_violations(self)
+
     def cone(self, indices: Iterable[int]) -> "Cone":
         idx = frozenset(indices)
-        if not self.is_face(idx):
+        cone = self._face(idx)
+        if cone is None:
             raise ConeNotInFan("ray set %s does not span a cone of the fan" % sorted(idx))
-        return Cone(self, idx)
+        return cone
 
     def is_face(self, indices: frozenset[int]) -> bool:
         """Whether the given rays span a cone of the fan.
@@ -70,7 +92,24 @@ class Fan:
         True exactly when they lie in some maximal cone and are all of its
         rays on the smallest face containing their sum.
         """
-        return _is_face_cached(self, frozenset(indices))
+        return self._face(frozenset(indices)) is not None
+
+    def _face(self, indices: frozenset[int]) -> Optional["Cone"]:
+        """The cone spanned by the given rays, or None when they span none."""
+        if indices not in self._faces:
+            spans = all(0 <= i < self.nrays for i in indices) and any(
+                indices <= cone and _spans_face(self, hrep, indices)
+                for cone, hrep in zip(self.max_cones, self._hreps)
+            )
+            self._faces[indices] = Cone(self, indices) if spans else None
+        return self._faces[indices]
+
+
+@lru_cache(maxsize=64)
+def _interned(dim: int, rays: tuple[tuple[int, ...], ...], max_cones: tuple[frozenset[int], ...]) -> Fan:
+    """The one fan handed out for a normalized input, while it is among the
+    64 most recently asked for."""
+    return Fan(dim, rays, max_cones)
 
 
 @dataclass(frozen=True)
@@ -85,16 +124,6 @@ class Cone:
     @property
     def is_zero(self) -> bool:
         return not self.indices
-
-
-@lru_cache(maxsize=256)
-def _is_face_cached(fan: Fan, indices: frozenset[int]) -> bool:
-    if any(i < 0 or i >= fan.nrays for i in indices):
-        return False
-    return any(
-        indices <= cone and _spans_face(fan, hrep, indices)
-        for cone, hrep in zip(fan.max_cones, _max_cone_hreps(fan))
-    )
 
 
 def _spans_face(fan: Fan, hrep: _ConeHRep, indices: frozenset[int]) -> bool:
@@ -196,16 +225,6 @@ def _facet_normals(dim: int, vecs: list[tuple[int, ...]], rank: int) -> list[tup
     return list(found.values())
 
 
-@lru_cache(maxsize=64)
-def _max_cone_hreps(fan: Fan) -> tuple[_ConeHRep, ...]:
-    """H-representation of each maximal cone of the fan, in order.  The
-    cache is keyed by value because every decoded document builds its fans
-    anew."""
-    return tuple(
-        _cone_hrep(fan.dim, [(i, fan.rays[i]) for i in sorted(cone)]) for cone in fan.max_cones
-    )
-
-
 def cone_contains(cone: Cone, v: Sequence) -> bool:
     """Exact test for v in the cone (rational coordinates allowed).
 
@@ -219,7 +238,7 @@ def cone_contains(cone: Cone, v: Sequence) -> bool:
     containing = [k for k, c in enumerate(fan.max_cones) if cone.indices <= c]
     if not containing:
         raise ConeNotInFan("no maximal cone contains the given cone")
-    hrep = _max_cone_hreps(fan)[min(containing, key=lambda k: len(fan.max_cones[k]))]
+    hrep = fan._hreps[min(containing, key=lambda k: len(fan.max_cones[k]))]
     vv = [Fraction(x) for x in v]
     return hrep.contains(vv) and hrep.minimal_face(vv) <= cone.indices
 
@@ -227,7 +246,7 @@ def cone_contains(cone: Cone, v: Sequence) -> bool:
 def minimal_cone_containing(fan: Fan, v: Sequence) -> Optional[Cone]:
     """The unique smallest cone of the fan containing v, or None outside."""
     vv = [Fraction(x) for x in v]
-    for hrep in _max_cone_hreps(fan):
+    for hrep in fan._hreps:
         if hrep.contains(vv):
             return Cone(fan, hrep.minimal_face(vv))
     return None
@@ -248,13 +267,11 @@ def validate_fan(fan: Fan) -> list[str]:
     does the pair solve the Farkas alternative, an exact LP, and only a
     failing pair runs the face tests that name the violation.
 
-    Each distinct fan is checked once, because every decoded document
-    builds its fans anew; each call returns a list of its own.
+    The check runs once per fan; each call returns a list of its own.
     """
-    return list(_fan_violations(fan))
+    return list(fan._violations)
 
 
-@lru_cache(maxsize=64)
 def _fan_violations(fan: Fan) -> tuple[str, ...]:
     problems = []
     seen = {}
@@ -281,7 +298,7 @@ def _fan_violations(fan: Fan) -> tuple[str, ...]:
         for c2, cone2 in enumerate(fan.max_cones):
             if c1 < c2 and (cone1 <= cone2 or cone2 <= cone1):
                 problems.append("cones %d and %d are nested, so one is not maximal" % (c1, c2))
-    hreps = _max_cone_hreps(fan)
+    hreps = fan._hreps
     for c, (cone, hrep) in enumerate(zip(fan.max_cones, hreps)):
         # linearly independent rays span a strongly convex cone
         if len(cone) > fan.dim - len(hrep.equations) and hrep.minimal_face([0] * fan.dim):
@@ -364,7 +381,8 @@ class StarFan:
     the original rays, kept without re-primitivization so that membership
     tests can reuse them directly.  ``ray_map`` has the projection of ray i
     as column i, and ``cones`` holds the H-representation of each entry's
-    image cone, indexed by the rays upstairs.
+    image cone, indexed by the rays upstairs.  The answers of
+    ``cones_with_image`` are kept on the star fan, by image generators.
     """
 
     base: Cone
@@ -372,6 +390,9 @@ class StarFan:
     entries: tuple[tuple[frozenset[int], tuple[tuple[int, ...], ...]], ...]
     ray_map: IntMatrix = field(compare=False, repr=False)
     cones: tuple[_ConeHRep, ...] = field(compare=False, repr=False)
+    _with_image: dict[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def fan(self) -> Fan:
@@ -392,32 +413,37 @@ class StarFan:
         return None
 
     def cones_with_image(self, tau_gens: Sequence[Sequence[int]]) -> list[frozenset[int]]:
-        """All cones containing the base whose image equals the given cone."""
-        tau_list = [tuple(g) for g in tau_gens]
-        tau = _cone_hrep(self.lattice.rank, list(enumerate(tau_list)))
-        found = []
-        for cone in self.cones:
-            if not all(cone.contains(t) for t in tau_list):
-                continue
-            candidate = frozenset(
-                i for i in cone.indices if tau.contains(self.ray_map.col(i))
-            )
-            if candidate not in found:
-                found.append(candidate)
-        return found
+        """All cones containing the base whose image equals the given cone,
+        in a new list on every call."""
+        key = tuple(tuple(g) for g in tau_gens)
+        if key not in self._with_image:
+            tau = _cone_hrep(self.lattice.rank, list(enumerate(key)))
+            found = []
+            for cone in self.cones:
+                if not all(cone.contains(t) for t in key):
+                    continue
+                candidate = frozenset(
+                    i for i in cone.indices if tau.contains(self.ray_map.col(i))
+                )
+                if candidate not in found:
+                    found.append(candidate)
+            self._with_image[key] = tuple(found)
+        return list(self._with_image[key])
 
 
 def star_fan(fan: Fan, sigma: Cone) -> StarFan:
     """Star of a cone: every maximal cone containing it, projected to N(sigma).
 
-    Built once per distinct fan and cone and shared between equal ones.
+    Built once per fan and cone and kept on the fan.
     """
     if sigma.fan != fan:
         raise ConeNotInFan("cone belongs to a different fan")
-    return _star_fan(fan, sigma.indices)
+    star = fan._stars.get(sigma.indices)
+    if star is None:
+        star = fan._stars[sigma.indices] = _star_fan(fan, sigma.indices)
+    return star
 
 
-@lru_cache(maxsize=64)
 def _star_fan(fan: Fan, indices: frozenset[int]) -> StarFan:
     sigma = Cone(fan, indices)
     lattice = quotient_by_span(fan.dim, [fan.rays[i] for i in sorted(sigma.indices)])

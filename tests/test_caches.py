@@ -1,17 +1,21 @@
 """Module-level caches stay bounded and hand out nothing a caller can spoil.
 
-Fan checks, star fans and Cox rings are shared between equal inputs through
-value-keyed ``lru_cache``s.  Each must have a finite bound, must stay within
-it however many distinct inputs pass through, and must give every caller an
-answer that mutating a previous answer cannot change.
+``Fan.make`` interns fans in a bounded table, and fan checks and star fans
+live on the fan, so they go when the table lets the fan go; Cox rings are
+shared through a value-keyed ``lru_cache``.  Each cache must have a finite
+bound, must stay within it however many distinct inputs pass through, and
+must give every caller an answer that mutating a previous answer cannot
+change.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import inspect
 import json
 import pkgutil
+import weakref
 
 import coxmap
 from coxmap import coxring as coxring_module
@@ -36,26 +40,58 @@ def test_every_cache_is_bounded():
                 if hasattr(value, "cache_info"):
                     caches.append(name)
                     assert value.cache_info().maxsize is not None, (module.__name__, name)
-    assert {"_fan_violations", "_star_fan", "_cox_ring"} <= set(caches)
+    assert set(caches) == {
+        "_interned", "_cox_ring", "_degree_cached", "_invariant_exponents", "_factorize"
+    }
 
 
 def _cones(count):
-    """Distinct two-dimensional affine fans, one cone each."""
-    return [Fan.make(2, [(1, 0), (k, 1)], [{0, 1}]) for k in range(count)]
+    """Distinct two-dimensional affine fans, one cone each, unlike the fans
+    built elsewhere in the suite."""
+    return [Fan.make(2, [(1, 0), (k, 1)], [{0, 1}]) for k in range(100, 100 + count)]
+
+
+def _kept_after(use):
+    """Passes each of bound + 20 new fans to ``use``; returns the intern
+    table's bound and how many of those fans are still alive once nothing
+    but coxmap refers to them."""
+    bound = fan_module._interned.cache_info().maxsize
+    refs = []
+    for fan in _cones(bound + 20):
+        use(fan)
+        refs.append(weakref.ref(fan))
+    del fan
+    gc.collect()
+    return bound, sum(ref() is not None for ref in refs)
+
+
+def test_make_interns_equal_fans():
+    a = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
+    assert Fan.make(2.0, [[1, 0], [0, 1], [-1, -1]], [[1, 0], [2, 1], [2, 0]]) is a
+    direct = Fan(a.dim, a.rays, a.max_cones)
+    assert direct == a and direct is not a
+    bound, kept = _kept_after(lambda fan: None)
+    assert fan_module._interned.cache_info().currsize <= bound
+    assert kept <= bound
+    fan_module._interned.cache_clear()
+    b = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
+    assert b == a and b is not a
 
 
 def test_fan_check_cache_is_bounded():
-    bound = fan_module._fan_violations.cache_info().maxsize
-    for fan in _cones(bound + 20):
+    def check(fan):
         assert validate_fan(fan) == []
-    assert fan_module._fan_violations.cache_info().currsize <= bound
+
+    bound, kept = _kept_after(check)
+    assert kept <= bound
 
 
 def test_star_fan_cache_is_bounded():
-    bound = fan_module._star_fan.cache_info().maxsize
-    for fan in _cones(bound + 20):
+    def star(fan):
         assert star_fan(fan, fan.cone({1})).lattice.rank == 1
-    assert fan_module._star_fan.cache_info().currsize <= bound
+
+    bound, kept = _kept_after(star)
+    assert kept <= bound
 
 
 def test_cox_ring_cache_is_bounded():
@@ -68,7 +104,7 @@ def test_cox_ring_cache_is_bounded():
 def test_equal_inputs_share_one_ring_and_star_fan():
     a = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
     b = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
-    assert a is not b
+    assert a is b
     assert build_cox_ring(a, ["x", "y", "z"]) is build_cox_ring(b, ("x", "y", "z"))
     assert star_fan(a, a.cone({2})) is star_fan(b, b.cone({2}))
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from coxmap import coxring as coxring_module
 from coxmap import descriptions as descriptions_module
+from coxmap import fan as fan_module
 from coxmap.coxring import MPoly
 from coxmap.descriptions import (
     CharacterMap,
@@ -17,6 +19,7 @@ from coxmap.descriptions import (
     InconsistentCharacterData,
     InhomogeneousImage,
     NonIntegralL,
+    NonTermination,
     NotInKernel,
     ZeroConeNotInFan,
     candidate_divisors,
@@ -422,11 +425,12 @@ def test_twist_shares_the_star_fan(monkeypatch):
     twisted = twist_description(d, d.source.parse("x2"), (-1, -1))
     assert twisted.sigma is d.sigma and twisted.star is d.star
 
+    # new fans and rings, so that the star fan is built in this test
+    fan_module._interned.cache_clear()
+    coxring_module._cox_ring.cache_clear()
     calls = []
-    real = descriptions_module.star_fan
-    monkeypatch.setattr(
-        descriptions_module, "star_fan", lambda *a: calls.append(a) or real(*a)
-    )
+    real = fan_module._star_fan
+    monkeypatch.setattr(fan_module, "_star_fan", lambda *a: calls.append(a) or real(*a))
     done, entries = complete(collapse_p2_to_p1())
     assert any(e.modified for e in entries)
     assert len(calls) == 1
@@ -545,6 +549,14 @@ def test_complete_is_idempotent():
     again, entries = complete(done)
     assert again == done
     assert all(not e.modified for e in entries)
+
+
+def test_complete_refuses_a_repair_that_does_not_settle(monkeypatch):
+    # one repair pass suffices because a twist leaves its divisor agreeing;
+    # a twist that did not would leave the entries pass to find it
+    monkeypatch.setattr(descriptions_module, "complete_along", lambda d, diag: d)
+    with pytest.raises(NonTermination, match="x2 still needs modification"):
+        complete(collapse_p2_to_p1())
 
 
 # ---------------------------------------------------------------------------

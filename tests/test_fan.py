@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -140,17 +142,18 @@ def test_face_subsets_of_simplicial_cones():
 
 
 def test_face_cache_is_bounded():
-    fan = projective_plane()
-    bound = fan_module._is_face_cached.cache_info().maxsize
-    assert bound is not None
-    for k in range(bound + 20):
-        assert not fan.is_face(frozenset({0, 3 + k}))
-    assert fan_module._is_face_cached.cache_info().currsize <= bound
-    bound = fan_module._max_cone_hreps.cache_info().maxsize
-    assert bound is not None
-    for k in range(bound + 20):
-        assert minimal_cone_containing(Fan.make(2, [(1, 0), (k, 1)], [{0, 1}]), (k, 1))
-    assert fan_module._max_cone_hreps.cache_info().currsize <= bound
+    # face answers and H-representations live on the fan, so they go when
+    # the intern table lets the fan go
+    assert not projective_plane().is_face(frozenset({0, 3}))
+    bound = fan_module._interned.cache_info().maxsize
+    refs = []
+    for k in range(1000, 1020 + bound):
+        fan = Fan.make(2, [(1, 0), (k, 1)], [{0, 1}])
+        assert minimal_cone_containing(fan, (k, 1)) == fan.cone({1})
+        refs.append(weakref.ref(fan))
+    del fan
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= bound
 
 
 def test_star_fan_of_ray_in_projective_plane():
@@ -196,6 +199,9 @@ def test_star_fan_cones_with_image():
     fan = projective_line()
     star = star_fan(fan, fan.cone(set()))
     assert star.cones_with_image([]) == [frozenset()]
+    assert star.cones_with_image([(-1,)]) == [frozenset({1})]
+    # answers are kept on the star fan, but every call gets a list of its own
+    star.cones_with_image([(-1,)]).append(frozenset({0}))
     assert star.cones_with_image([(-1,)]) == [frozenset({1})]
 
 
@@ -263,7 +269,8 @@ def test_star_fan_queries_solve_no_lps(monkeypatch):
 
 
 def test_fan_decisions_solve_no_lps(monkeypatch):
-    fan_module._is_face_cached.cache_clear()
+    # fans made from here on are new, so no decision comes from a memo
+    fan_module._interned.cache_clear()
     refuse_lps(monkeypatch)
     # fan and its number of cones: the cube fan has the empty cone, 8 rays,
     # 12 edges and 6 squares

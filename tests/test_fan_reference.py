@@ -22,6 +22,7 @@ from math import gcd
 from coxmap.abelian import IntMatrix
 from coxmap.fan import (
     Cone,
+    ConeNotInFan,
     Fan,
     cone_contains,
     minimal_cone_containing,
@@ -32,9 +33,11 @@ from lp_reference import fourier_motzkin_lexmin, nonneg_lexmin
 from varieties import (
     cube_fan,
     hirzebruch_surface,
+    plane_mod_3,
     product_of_lines,
     projective_plane,
     projective_space_3,
+    quarter_plane_quotient,
 )
 
 
@@ -301,3 +304,50 @@ def test_star_fan_queries_match_reference():
                     if candidate not in expected:
                         expected.append(candidate)
             assert star.cones_with_image(tau_gens) == expected
+
+
+def _answers(fan, points):
+    """Every question the fan module answers about a fan, with exceptions as
+    answers, for comparing a fan built directly with the interned one."""
+    subsets = [
+        frozenset(s) for r in range(fan.nrays + 1)
+        for s in itertools.combinations(range(fan.nrays), r)
+    ]
+    valid = not validate_fan(fan)
+    answers = [validate_fan(fan)]
+    for face in subsets:
+        answers.append(fan.is_face(face))
+        try:
+            cone = fan.cone(face)
+        except ConeNotInFan as exc:
+            answers.append(str(exc))
+            continue
+        answers.append(cone.indices)
+        if valid:
+            star = star_fan(fan, cone)
+            answers.append((star, star.ray_map, star.cones))
+    for v in points:
+        answers.append([cone_contains(Cone(fan, cone), v) for cone in fan.max_cones])
+        found = minimal_cone_containing(fan, v)
+        answers.append(found and found.indices)
+    return answers
+
+
+def test_direct_fans_answer_like_interned_ones():
+    rng = random.Random(53)
+    fixed = COMPLETE_FANS + [
+        hirzebruch_surface(3), plane_mod_3(), quarter_plane_quotient(),
+        Fan.make(2, [(1, 0), (0, 1), (1, 1)], [{0, 1}, {0, 2}]),
+    ]
+    random_fans = [
+        random_fan(rng) if k % 2 else transformed(rng, rng.choice(COMPLETE_FANS))
+        for k in range(60)
+    ]
+    rejected = 0
+    for shared in fixed + random_fans:
+        direct = Fan(shared.dim, shared.rays, shared.max_cones)
+        assert direct == shared and direct is not shared
+        points = random_points(rng, shared.dim, 5)
+        assert _answers(direct, points) == _answers(shared, points), shared
+        rejected += bool(validate_fan(shared))
+    assert 10 < rejected < 50
