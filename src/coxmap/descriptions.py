@@ -593,8 +593,7 @@ def _diagnose(d: CoxDescription, prim: MPoly) -> DivisorDiagnosis:
     tau_gens = star.image_gens(tau_indices)
     candidates = star.cones_with_image(tau_gens)
     assert candidates
-    candidates.sort(key=lambda c: (-len(c), tuple(sorted(c))))
-    tau_y = candidates[0]
+    tau_y = min(candidates, key=lambda c: (-len(c), tuple(sorted(c))))
     support = sorted(tau_y)
     columns = IntMatrix.from_rows(
         [[L[r, i] for i in support] for r in range(L.rows)], cols=len(support)

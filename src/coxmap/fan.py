@@ -39,16 +39,18 @@ class Fan:
     """A fan given by primitive rays and maximal cones as ray-index sets.
 
     Everything derived from a fan is kept on it: the maximal cones'
-    H-representations, the fan check, the cones answered by ``cone`` and
-    ``is_face``, and the star fans.  ``Fan.make`` hands out one fan per
-    distinct input, so equal fans share all of it; a ``Fan(...)`` built
-    directly gives the same answers and shares them with nobody.
+    H-representations, the fan check, and, for each of its cones, the
+    ``Cone`` that ``cone`` and ``is_face`` found and the star fan.  Ray sets
+    that span no cone are not kept, so neither dict outgrows the fan's own
+    cones.  ``Fan.make`` hands out one fan per distinct input, so equal fans
+    share all of it; a ``Fan(...)`` built directly gives the same answers
+    and shares them with nobody.
     """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[frozenset[int], ...]
-    _faces: dict[frozenset[int], Optional["Cone"]] = field(
+    _faces: dict[frozenset[int], "Cone"] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     _stars: dict[frozenset[int], "StarFan"] = field(
@@ -96,13 +98,13 @@ class Fan:
 
     def _face(self, indices: frozenset[int]) -> Optional["Cone"]:
         """The cone spanned by the given rays, or None when they span none."""
-        if indices not in self._faces:
-            spans = all(0 <= i < self.nrays for i in indices) and any(
-                indices <= cone and _spans_face(self, hrep, indices)
-                for cone, hrep in zip(self.max_cones, self._hreps)
-            )
-            self._faces[indices] = Cone(self, indices) if spans else None
-        return self._faces[indices]
+        cone = self._faces.get(indices)
+        if cone is None and all(0 <= i < self.nrays for i in indices) and any(
+            indices <= c and _spans_face(self, hrep, indices)
+            for c, hrep in zip(self.max_cones, self._hreps)
+        ):
+            cone = self._faces[indices] = Cone(self, indices)
+        return cone
 
 
 @lru_cache(maxsize=64)
@@ -381,8 +383,7 @@ class StarFan:
     the original rays, kept without re-primitivization so that membership
     tests can reuse them directly.  ``ray_map`` has the projection of ray i
     as column i, and ``cones`` holds the H-representation of each entry's
-    image cone, indexed by the rays upstairs.  The answers of
-    ``cones_with_image`` are kept on the star fan, by image generators.
+    image cone, indexed by the rays upstairs.
     """
 
     base: Cone
@@ -390,9 +391,6 @@ class StarFan:
     entries: tuple[tuple[frozenset[int], tuple[tuple[int, ...], ...]], ...]
     ray_map: IntMatrix = field(compare=False, repr=False)
     cones: tuple[_ConeHRep, ...] = field(compare=False, repr=False)
-    _with_image: dict[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @property
     def fan(self) -> Fan:
@@ -413,34 +411,34 @@ class StarFan:
         return None
 
     def cones_with_image(self, tau_gens: Sequence[Sequence[int]]) -> list[frozenset[int]]:
-        """All cones containing the base whose image equals the given cone,
-        in a new list on every call."""
-        key = tuple(tuple(g) for g in tau_gens)
-        if key not in self._with_image:
-            tau = _cone_hrep(self.lattice.rank, list(enumerate(key)))
-            found = []
-            for cone in self.cones:
-                if not all(cone.contains(t) for t in key):
-                    continue
-                candidate = frozenset(
-                    i for i in cone.indices if tau.contains(self.ray_map.col(i))
-                )
-                if candidate not in found:
-                    found.append(candidate)
-            self._with_image[key] = tuple(found)
-        return list(self._with_image[key])
+        """All cones containing the base whose image equals the given cone."""
+        tau_list = [tuple(g) for g in tau_gens]
+        tau = _cone_hrep(self.lattice.rank, list(enumerate(tau_list)))
+        found = []
+        for cone in self.cones:
+            if not all(cone.contains(t) for t in tau_list):
+                continue
+            candidate = frozenset(
+                i for i in cone.indices if tau.contains(self.ray_map.col(i))
+            )
+            if candidate not in found:
+                found.append(candidate)
+        return found
 
 
 def star_fan(fan: Fan, sigma: Cone) -> StarFan:
     """Star of a cone: every maximal cone containing it, projected to N(sigma).
 
-    Built once per fan and cone and kept on the fan.
+    Built once per cone of the fan and kept on the fan; a ray set that
+    spans no cone of the fan gets a star fan of its own on every call.
     """
     if sigma.fan != fan:
         raise ConeNotInFan("cone belongs to a different fan")
     star = fan._stars.get(sigma.indices)
     if star is None:
-        star = fan._stars[sigma.indices] = _star_fan(fan, sigma.indices)
+        star = _star_fan(fan, sigma.indices)
+        if fan.is_face(sigma.indices):
+            fan._stars[sigma.indices] = star
     return star
 
 

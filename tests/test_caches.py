@@ -22,7 +22,7 @@ from coxmap import coxring as coxring_module
 from coxmap import fan as fan_module
 from coxmap.cli import main
 from coxmap.coxring import build_cox_ring
-from coxmap.fan import Fan, star_fan, validate_fan
+from coxmap.fan import Cone, Fan, star_fan, validate_fan
 
 
 def _coxmap_modules():
@@ -87,11 +87,35 @@ def test_fan_check_cache_is_bounded():
 
 
 def test_star_fan_cache_is_bounded():
+    # Star fans live on their fan, at most one per cone of it, so those alive
+    # are bounded by the fans alive, which are at most the intern table's
+    # bound plus the fans that Cox rings in ``_cox_ring`` hold, times the
+    # cones per fan.  No Cox ring is built here.
+    cones = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    stars = []
+
     def star(fan):
-        assert star_fan(fan, fan.cone({1})).lattice.rank == 1
+        for _ in range(3):
+            for indices in cones:
+                built = star_fan(fan, fan.cone(indices))
+                assert built is star_fan(fan, fan.cone(indices))
+                assert built.lattice.rank == 2 - len(indices)
+                stars.append(weakref.ref(built))
+        assert len(fan._stars) == len(cones)
 
     bound, kept = _kept_after(star)
     assert kept <= bound
+    assert len({id(ref()) for ref in stars if ref() is not None}) <= len(cones) * bound
+
+    # a ray set inside a maximal cone that spans no cone of the fan gets a
+    # star fan, but the fan does not keep it
+    square = Fan.make(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [{0, 1, 2, 3}])
+    diagonal = Cone(square, frozenset({0, 2}))
+    assert not square.is_face(diagonal.indices)
+    first = star_fan(square, diagonal)
+    assert star_fan(square, diagonal) == first
+    assert star_fan(square, diagonal) is not first
+    assert not square._stars
 
 
 def test_cox_ring_cache_is_bounded():
