@@ -2,9 +2,10 @@
 
 A Cox ring has one variable per ray of the fan and is graded by the divisor
 class group, the cokernel of the ray pairing matrix.  Polynomials are sparse
-dicts from exponent tuples to rational coefficients with all arithmetic
-exact; the canonical monomial order everywhere is degree-lexicographic with
-variables ordered by ray index.
+dicts from exponent tuples to exact rational coefficients: an integral
+coefficient is an ``int`` and any other a ``Fraction``, never a float.  The
+canonical monomial order everywhere is degree-lexicographic with variables
+ordered by ray index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from coxmap._kernel_py import deglex_key, poly_exact_div, poly_mul
 from coxmap.abelian import FGAbelianGroup, GroupElement, IntMatrix, cokernel
@@ -45,8 +46,21 @@ class UnknownVariable(ParseError):
         self.name = name
 
 
+def _coeff(c) -> Union[int, Fraction]:
+    """An exact coefficient: an int when c is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MPoly:
-    """Sparse polynomial with Fraction coefficients; immutable by convention."""
+    """Sparse polynomial with exact rational coefficients, ints where
+    integral and Fractions elsewhere; immutable by convention.
+
+    Equality and hashing go by value, so a coefficient Fraction(3) left
+    behind by arithmetic compares and hashes like the int 3.
+    """
 
     __slots__ = ("nvars", "terms", "_hash", "_sort_key")
 
@@ -59,7 +73,7 @@ class MPoly:
                     raise ValueError("exponent tuple of wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in polynomial")
-                c = Fraction(coeff)
+                c = _coeff(coeff)
                 if c:
                     clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
@@ -73,17 +87,17 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MPoly":
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], c=1) -> "MPoly":
-        return cls(nvars, {tuple(exps): Fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict) -> "MPoly":
@@ -108,7 +122,7 @@ class MPoly:
             raise ZeroPolynomial("the zero polynomial has no leading monomial")
         return max(self.terms, key=deglex_key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Union[int, Fraction]:
         return self.terms[self.leading_monomial()]
 
     def total_degree(self) -> int:
@@ -116,7 +130,7 @@ class MPoly:
             raise ZeroPolynomial("the zero polynomial has no degree")
         return max(sum(e) for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Union[int, Fraction]]]:
         return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)
 
     def sort_key(self) -> tuple:
@@ -141,7 +155,7 @@ class MPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
@@ -193,18 +207,27 @@ class MPoly:
         return "MPoly(%d, %r)" % (self.nvars, self.terms)
 
     # -- normalization and evaluation ---------------------------------------
-    def content_and_primitive(self) -> tuple[Fraction, "MPoly"]:
+    def content_and_primitive(self) -> tuple[Union[int, Fraction], "MPoly"]:
         """Write self = c * p with p integer-coefficient, coefficient gcd one,
-        positive leading coefficient."""
-        if not self.terms:
+        positive leading coefficient.  The content c is an int when every
+        coefficient is integral, else a Fraction; p's coefficients are ints."""
+        terms = self.terms
+        if not terms:
             raise ZeroPolynomial("the zero polynomial has no content")
-        nums = gcd(*(c.numerator for c in self.terms.values()))
-        dens = lcm(*(c.denominator for c in self.terms.values()))
-        c = Fraction(nums, dens)
-        if self.terms[self.leading_monomial()] < 0:
+        negative = terms[self.leading_monomial()] < 0
+        if all(type(c) is int for c in terms.values()):
+            g = gcd(*terms.values())
+            if negative:
+                g = -g
+            return g, MPoly._raw(self.nvars, {e: c // g for e, c in terms.items()})
+        c = Fraction(
+            gcd(*(x.numerator for x in terms.values())),
+            lcm(*(x.denominator for x in terms.values())),
+        )
+        if negative:
             c = -c
-        prim = MPoly._raw(self.nvars, {e: coeff / c for e, coeff in self.terms.items()})
-        return c, prim
+        prim = {e: _coeff(coeff / c) for e, coeff in terms.items()}
+        return _coeff(c), MPoly._raw(self.nvars, prim)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         if len(point) != self.nvars:
@@ -398,9 +421,12 @@ def parse_poly(ring: ToricCoxRing, text: str) -> MPoly:
 
 
 def _parse_named(names: tuple[str, ...], text: str) -> MPoly:
+    # every rule returns a fresh term dict that its caller may change in
+    # place; products go through poly_mul, and the one MPoly is built last
     tokens = _tokenize(text)
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
+    one = (0,) * nvars
     pos = [0]
 
     def peek():
@@ -417,7 +443,7 @@ def _parse_named(names: tuple[str, ...], text: str) -> MPoly:
             raise ParseError("expected %r" % op, at)
         advance()
 
-    def parse_expr() -> MPoly:
+    def parse_expr() -> dict:
         kind, value, _ = peek()
         negate = False
         if kind == "op" and value in "+-":
@@ -425,27 +451,32 @@ def _parse_named(names: tuple[str, ...], text: str) -> MPoly:
             negate = value == "-"
         result = parse_term()
         if negate:
-            result = -result
+            result = {e: -c for e, c in result.items()}
         while True:
             kind, value, _ = peek()
             if kind == "op" and value in "+-":
                 advance()
-                term = parse_term()
-                result = result - term if value == "-" else result + term
+                sign = -1 if value == "-" else 1
+                for e, c in parse_term().items():
+                    s = result.get(e, 0) + sign * c
+                    if s:
+                        result[e] = s
+                    else:
+                        del result[e]
             else:
                 return result
 
-    def parse_term() -> MPoly:
+    def parse_term() -> dict:
         result = parse_factor()
         while True:
             kind, value, _ = peek()
             if kind == "op" and value == "*":
                 advance()
-                result = result * parse_factor()
+                result = poly_mul(result, parse_factor())
             else:
                 return result
 
-    def parse_factor() -> MPoly:
+    def parse_factor() -> dict:
         base = parse_atom()
         kind, value, _ = peek()
         if kind == "op" and value == "^":
@@ -454,33 +485,44 @@ def _parse_named(names: tuple[str, ...], text: str) -> MPoly:
             if kind != "number" or "/" in value:
                 raise ParseError("exponents are nonnegative integers", at)
             advance()
-            return base ** int(value)
+            n = int(value)
+            if len(base) == 1:
+                ((e, c),) = base.items()
+                return {tuple(n * x for x in e): c ** n}
+            return (MPoly._raw(nvars, base) ** n).terms
         return base
 
-    def parse_atom() -> MPoly:
+    def parse_atom() -> dict:
         kind, value, at = advance()
         if kind == "number":
             if "/" in value:
                 num, den = (part.strip() for part in value.split("/"))
                 if int(den) == 0:
                     raise ParseError("zero denominator", at)
-                return MPoly.constant(nvars, Fraction(int(num), int(den)))
-            return MPoly.constant(nvars, int(value))
+                c = _coeff(Fraction(int(num), int(den)))
+            else:
+                c = int(value)
+            return {one: c} if c else {}
         if kind == "name":
             if value not in index:
                 raise UnknownVariable(value, at)
-            return MPoly.variable(nvars, index[value])
+            exps = [0] * nvars
+            exps[index[value]] = 1
+            return {tuple(exps): 1}
         if kind == "op" and value == "(":
             inner = parse_expr()
             expect_op(")")
             return inner
         raise ParseError("expected a number, variable or parenthesis", at)
 
-    result = parse_expr()
+    terms = parse_expr()
     kind, _, at = peek()
     if kind != "end":
         raise ParseError("trailing input", at)
-    return result
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return MPoly._raw(nvars, terms)
 
 
 def format_poly(f: MPoly, names: Sequence[str]) -> str:

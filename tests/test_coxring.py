@@ -211,6 +211,98 @@ def test_content_and_primitive():
     assert gcd(*nums) == 1
 
 
+def random_int_poly(rng: random.Random, nvars: int, max_terms=4, max_exp=3) -> MPoly:
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        terms[exps] = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
+    return MPoly(nvars, terms)
+
+
+def assert_exact(f: MPoly):
+    for c in f.terms.values():
+        assert type(c) in (int, Fraction), f
+
+
+def assert_int_where_integral(f: MPoly):
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), f
+
+
+def test_arithmetic_never_makes_float_coefficients():
+    rng = random.Random(43)
+    makers = (random_poly, random_int_poly)
+    orders = 0
+    for _ in range(300):
+        f = rng.choice(makers)(rng, 3)
+        g = rng.choice(makers)(rng, 3)
+        for h in (f + g, f - g, f * g, g ** rng.randint(0, 3), -f, 2 - f, f * 3):
+            assert_exact(h)
+        if not f.is_zero:
+            content, prim = f.content_and_primitive()
+            assert type(content) in (int, Fraction)
+            assert_exact(prim)
+            assert all(type(c) is int for c in prim.terms.values())
+        if not g.is_zero:
+            for divisor in (g, MPoly.constant(3, rng.choice([2, 3, Fraction(2, 3)]))):
+                q = exact_divide(f * divisor, divisor)
+                assert q == f
+                assert_exact(q)
+                probe = exact_divide(f + 1, divisor)
+                if probe is not None:
+                    assert_exact(probe)
+        if not f.is_zero and not g.is_constant:
+            k = rng.randint(0, 2)
+            order = order_along(f * g ** k, g)
+            assert type(order) is int and order >= k
+            orders += 1
+    assert orders > 100
+
+
+def test_integral_coefficients_are_ints():
+    p2 = ring_p2()
+    parsed = p2.parse("2/2*x0 + 4/2 + 1/2 + 1/2 - 3/9*x1 + (1/3*x1)^2 - 1/9*x1^2 + (1/2*x2)*2")
+    assert parsed.terms == {(1, 0, 0): 1, (0, 0, 0): 3, (0, 1, 0): Fraction(-1, 3), (0, 0, 1): 1}
+    assert_int_where_integral(parsed)
+    assert type(parsed.terms[(0, 0, 0)]) is int
+    built = [
+        MPoly(3, {(1, 0, 0): Fraction(4, 2), (0, 0, 0): 2.0, (0, 1, 0): True}),
+        MPoly.constant(3, Fraction(6, 3)),
+        MPoly.variable(3, 1),
+        MPoly.monomial(3, (0, 0, 2), Fraction(-8, 4)),
+        p2.constant(5),
+        p2.variable(2),
+    ]
+    for f in built:
+        assert f.terms and all(type(c) is int for c in f.terms.values()), f
+    for text in ("6*x0 - 4*x1", "1/2*x0 - 3/4*x1", "-3/2*x0^2 + 9/4*x2"):
+        content, prim = p2.parse(text).content_and_primitive()
+        assert all(type(c) is int for c in prim.terms.values())
+        assert type(content) is int or content.denominator != 1
+        assert MPoly.constant(3, content) * prim == p2.parse(text)
+    assert p2.parse("6*x0 - 4*x1").content_and_primitive()[0] == 2
+    assert type(MPoly(3, {(1, 0, 0): Fraction(-6)}).content_and_primitive()[0]) is int
+
+
+def test_exact_division_by_an_integer_keeps_fractions_exact():
+    p2 = ring_p2()
+    q = exact_divide(p2.parse("2*x0 + 1"), p2.constant(2))
+    assert q.terms == {(1, 0, 0): 1, (0, 0, 0): Fraction(1, 2)}
+    assert type(q.terms[(1, 0, 0)]) is int
+    assert type(q.terms[(0, 0, 0)]) is Fraction
+
+
+def test_integral_fraction_coefficient_equals_and_hashes_like_int():
+    as_fraction = MPoly._raw(3, {(1, 0, 0): Fraction(3), (0, 0, 0): Fraction(1, 2)})
+    as_int = MPoly(3, {(1, 0, 0): 3, (0, 0, 0): Fraction(1, 2)})
+    assert type(as_int.terms[(1, 0, 0)]) is int
+    assert as_fraction == as_int and hash(as_fraction) == hash(as_int)
+    assert as_fraction.sort_key() == as_int.sort_key()
+    assert len({as_fraction, as_int}) == 1
+    p2 = ring_p2()
+    assert homogeneous_degree(p2, as_fraction) == homogeneous_degree(p2, as_int)
+
+
 def test_sort_key_is_computed_once():
     rng = random.Random(3)
     for _ in range(20):
