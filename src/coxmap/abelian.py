@@ -18,10 +18,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def rational_vector(entries: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(e) for e in entries)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major.
@@ -423,7 +419,7 @@ def _row_reduce(aug: list[list[Fraction]], ncols: int) -> tuple[list[int], bool]
     return pivots, consistent
 
 
-def solve_rational(a: IntMatrix, b: Sequence):
+def solve_rational(a: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """Solve a x = b over the rationals.
 
     Args:
@@ -431,10 +427,9 @@ def solve_rational(a: IntMatrix, b: Sequence):
         b: right-hand side (ints or Fractions).
 
     Returns:
-        None when no solution exists, else a pair (solution,
-        nullspace_basis) where the particular solution sets all free
-        variables to zero and the basis spans the rational kernel of ``a``.
-        ``feasible_lexmin`` solves with x >= 0.
+        None when no solution exists, else the particular solution that
+        sets all free variables to zero.  ``feasible_lexmin`` solves with
+        x >= 0.
     """
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side length mismatch")
@@ -446,19 +441,7 @@ def solve_rational(a: IntMatrix, b: Sequence):
     x0 = [Fraction(0)] * n
     for r, c in enumerate(pivots):
         x0[c] = aug[r][n]
-    return tuple(x0), _nullspace_from_rref(aug, pivots, n)
-
-
-def _nullspace_from_rref(aug, pivots, n):
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -aug[r][fc]
-        basis.append(tuple(vec))
-    return tuple(basis)
+    return tuple(x0)
 
 
 def feasible_lexmin(a: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from coxmap._kernel_py import deglex_key, poly_exact_div, poly_mul
 from coxmap.abelian import FGAbelianGroup, GroupElement, IntMatrix, cokernel
@@ -121,9 +121,6 @@ class MPoly:
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading monomial")
         return max(self.terms, key=deglex_key)
-
-    def leading_coeff(self) -> Union[int, Fraction]:
-        return self.terms[self.leading_monomial()]
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -300,24 +297,12 @@ class ToricCoxRing:
     def constant(self, c) -> MPoly:
         return MPoly.constant(self.nvars, c)
 
-    def zero_poly(self) -> MPoly:
-        return MPoly.zero(self.nvars)
-
     def monomial_degree(self, exps: Sequence[int]) -> GroupElement:
         total = self.class_group.zero()
         for e, d in zip(exps, self.degrees):
             if e:
                 total = total + d.scale(e)
         return total
-
-    def rational_monomial_degree(self, exps: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Free part of the degree for rational exponent vectors."""
-        acc = [Fraction(0)] * self.class_group.free_rank
-        for e, d in zip(exps, self.degrees):
-            if e:
-                for k in range(len(acc)):
-                    acc[k] += e * d.free[k]
-        return tuple(acc)
 
     def parse(self, text: str) -> MPoly:
         return parse_poly(self, text)
@@ -386,6 +371,8 @@ def homogeneous_degree(ring: ToricCoxRing, f: MPoly) -> HomogeneousWitness:
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
+# Each nesting level costs the parser four frames; 200 stays under the recursion limit.
+_MAX_NESTING = 200
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
@@ -414,8 +401,9 @@ def _tokenize(text: str):
 def parse_poly(ring: ToricCoxRing, text: str) -> MPoly:
     """Parse rationals, ring variables, + - * ^ and parentheses.
 
-    Exponents are nonnegative integer literals.  Raises ParseError with the
-    offending position, or UnknownVariable for names outside the ring.
+    Exponents are nonnegative integer literals; parentheses nest at most
+    200 deep.  Raises ParseError with the offending position, or
+    UnknownVariable for names outside the ring.
     """
     return _parse_named(tuple(ring.names), text)
 
@@ -428,6 +416,7 @@ def _parse_named(names: tuple[str, ...], text: str) -> MPoly:
     index = {name: i for i, name in enumerate(names)}
     one = (0,) * nvars
     pos = [0]
+    depth = [0]
 
     def peek():
         return tokens[pos[0]]
@@ -510,8 +499,12 @@ def _parse_named(names: tuple[str, ...], text: str) -> MPoly:
             exps[index[value]] = 1
             return {tuple(exps): 1}
         if kind == "op" and value == "(":
+            depth[0] += 1
+            if depth[0] > _MAX_NESTING:
+                raise ParseError("parentheses nest deeper than %d" % _MAX_NESTING, at)
             inner = parse_expr()
             expect_op(")")
+            depth[0] -= 1
             return inner
         raise ParseError("expected a number, variable or parenthesis", at)
 

@@ -226,14 +226,13 @@ def check_homogeneity(d: CoxDescription):
     return CharacterMap(d.zero_set, basis, tuple(values))
 
 
-def check_relevance(d: CoxDescription) -> tuple[bool, Optional[int]]:
+def check_relevance(d: CoxDescription) -> tuple[bool, int]:
     """Some maximal cone must contain the zero set; returns the first
-    witness cone index."""
+    witness cone index.  Always relevant once ``validate_description``
+    passes, because every cone of the fan lies in a maximal cone."""
     validate_description(d)
-    for c, cone in enumerate(d.target.fan.max_cones):
-        if d.zero_set <= cone:
-            return True, c
-    return False, None
+    cones = d.target.fan.max_cones
+    return True, next(c for c, cone in enumerate(cones) if d.zero_set <= cone)
 
 
 def induced_character_map(d: CoxDescription) -> CharacterMap:
@@ -418,7 +417,7 @@ def construct_description(
             raise InconsistentCharacterData(
                 "no exponent assignment matches factor %s" % source.poly_str(p)
             )
-        factor_exps[p] = sol[0]
+        factor_exps[p] = sol
     prime_exps: dict[int, tuple] = {}
     for prime in primes:
         rhs = [dict(value.unit.powers).get(prime, Fraction(0)) for value in charmap.values]
@@ -427,7 +426,7 @@ def construct_description(
             raise InconsistentCharacterData(
                 "no exponent assignment matches the scalar prime %d" % prime
             )
-        prime_exps[prime] = sol[0]
+        prime_exps[prime] = sol
     signs = [0] * len(free_indices)
     if any(value.unit.sign < 0 for value in charmap.values):
         bits = _solve_mod2(

@@ -472,11 +472,3 @@ def orthogonal_character_basis(fan: Fan, sigma: Cone) -> tuple[tuple[int, ...], 
     rows = [fan.rays[i] for i in sorted(sigma.indices)]
     kernel = saturated_kernel(IntMatrix.from_rows(rows, cols=fan.dim))
     return kernel.entries
-
-
-def irrelevant_monomials(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """One square-free exponent vector per maximal cone: exponent one on each
-    ray outside the cone."""
-    return tuple(
-        tuple(0 if i in cone else 1 for i in range(fan.nrays)) for cone in fan.max_cones
-    )

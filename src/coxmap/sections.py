@@ -294,35 +294,6 @@ def section_degree(
     return tuple(free), exact
 
 
-def expand(a: FactoredSection) -> tuple[MPoly, MPoly, int]:
-    """Clear roots: (f, g, r) with a^r = f/g, f and g coprime polynomials.
-
-    The r-th power of the scalar part folds into the coefficients.
-    """
-    if a.is_zero:
-        return MPoly.zero(a.nvars), MPoly.constant(a.nvars, 1), 1
-    r = root_order(a)
-    scalar = section_pow(a, Fraction(r)).unit.as_fraction()
-    assert scalar is not None
-    num = MPoly.constant(a.nvars, Fraction(scalar.numerator))
-    den = MPoly.constant(a.nvars, Fraction(scalar.denominator))
-    for p, e in a.factors:
-        k = int(e * r)
-        if k > 0:
-            num = num * p ** k
-        else:
-            den = den * p ** (-k)
-    return num, den, r
-
-
-def order_along_section(a: FactoredSection, p: MPoly) -> Fraction:
-    """Exponent of the normalized irreducible p in the section."""
-    if a.is_zero:
-        raise ZeroSection("the zero section vanishes along everything")
-    _, prim = p.content_and_primitive()
-    return a.exponent_of(prim)
-
-
 def fractional_part(a: FactoredSection) -> FactoredSection:
     """Factor and scalar exponents reduced into [0, 1); sign dropped.
 

@@ -441,6 +441,13 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         assert main(["check", write(tmp_path, "i%d.json" % k, doc)]) == 2, doc
         assert "input error" in capsys.readouterr().err
 
+    # a unit base is a positive rational
+    for k, base in enumerate([0, "0", "-2", "-1/3"]):
+        doc = dict(ROOT_MAP, images=[{"factors": [["t", "3/2"]], "unit": {"base": base}},
+                                     ROOT_MAP["images"][1]])
+        assert main(["check", write(tmp_path, "b%d.json" % k, doc)]) == 2, base
+        assert "unit base must be positive" in capsys.readouterr().err
+
     construct = {
         "source": LINE,
         "target": QUARTER,
@@ -527,6 +534,21 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     cremona_path = write(tmp_path, "cremona.json", CREMONA)
     assert main(["check", cremona_path, "--samples", "2", "--tol", "nan"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_deeply_nested_factor_is_an_input_error(tmp_path, capsys):
+    def nested(depth):
+        factor = "(" * depth + "x1" + ")" * depth
+        images = [{"factors": [[factor, "1"], ["x2", "1"]]}] + CREMONA["images"][1:]
+        return write(tmp_path, "n%d.json" % depth, dict(CREMONA, images=images))
+
+    assert main(["check", nested(3000)]) == 2
+    assert "nest deeper than 200" in capsys.readouterr().err
+    assert main(["check", nested(201)]) == 2
+    assert "nest deeper than 200" in capsys.readouterr().err
+    for depth in (50, 200):
+        assert main(["check", nested(depth)]) == 0, depth
+        assert "result: pass" in capsys.readouterr().out
 
 
 def test_factor_sanity_and_trust(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -374,6 +375,27 @@ def test_construct_matches_signs_when_possible():
     )
     d = construct_description(source, ring_p1(), charmap)
     assert induced_character_map(d) == charmap
+
+
+def test_solve_mod2_matches_brute_force():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        rhs = [rng.randint(0, 1) for _ in rows]
+        solutions = [
+            x
+            for x in itertools.product((0, 1), repeat=n)
+            if all(sum(a * b for a, b in zip(row, x)) % 2 == r for row, r in zip(rows, rhs))
+        ]
+        bits = descriptions_module._solve_mod2([list(row) for row in rows], list(rhs), n)
+        if bits is None:
+            assert solutions == []
+        else:
+            assert tuple(bits) in solutions
+        outcomes.add(bits is None)
+    assert outcomes == {True, False}
 
 
 def identity_chart_on_plane():

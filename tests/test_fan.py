@@ -15,7 +15,6 @@ from coxmap.fan import (
     ConeNotInFan,
     Fan,
     cone_contains,
-    irrelevant_monomials,
     minimal_cone_containing,
     orthogonal_character_basis,
     ray_projection_map,
@@ -327,28 +326,3 @@ def test_orthogonal_character_basis():
     assert orthogonal_character_basis(fan, fan.cone({2})) == ((1, -1),)
     assert orthogonal_character_basis(fan, fan.cone(set())) == ((1, 0), (0, 1))
     assert orthogonal_character_basis(fan, fan.cone({0, 1})) == ()
-
-
-def test_irrelevant_monomials():
-    fan = projective_plane()
-    mono = irrelevant_monomials(fan)
-    assert sorted(mono) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert irrelevant_monomials(affine_line()) == ((0,),)
-    assert sorted(irrelevant_monomials(product_of_lines())) == [
-        (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
-
-
-def test_irrelevant_monomials_match_vanishing_patterns():
-    # a 0/1 point kills every irrelevant monomial exactly when its zero set
-    # is contained in no maximal cone
-    rng = random.Random(29)
-    fans = [projective_plane(), product_of_lines(), projective_line()]
-    for _ in range(100):
-        fan = rng.choice(fans)
-        point = [rng.randint(0, 1) for _ in range(fan.nrays)]
-        zeros = {i for i, x in enumerate(point) if x == 0}
-        monos = irrelevant_monomials(fan)
-        all_die = all(
-            any(e and point[i] == 0 for i, e in enumerate(mono)) for mono in monos
-        )
-        assert all_die == (not any(zeros <= c for c in fan.max_cones))

@@ -270,6 +270,18 @@ def test_inhomogeneous_images_fail_by_scaling():
     assert any(f.kind == "scaling" for f in report.failures)
 
 
+def test_torsion_grading_scales_by_signs():
+    # the Z/2 quotient has no free degree, so every torus scaling comes from
+    # the torsion part: (y1, y2) -> (-y1, -y2)
+    ring = ring_quarter_quotient()
+    identity = desc(ring, ring, [[("y1", 1)], [("y2", 1)]])
+    assert sample_agreement(identity, samples=8, seed=4).ok
+    squared = desc(ring, ring, [[("y1", 2)], [("y2", 1)]])
+    report = sample_agreement(squared, samples=8, seed=4)
+    assert not report.ok
+    assert any(f.kind == "scaling" for f in report.failures)
+
+
 def test_orbit_splitting_branches_fail():
     target = ring_p1()
     d = desc(

@@ -15,9 +15,7 @@ from coxmap.sections import (
     RadicalScalar,
     ZeroSection,
     ZeroToNonpositivePower,
-    expand,
     fractional_part,
-    order_along_section,
     rational_quotient,
     root_order,
     section_degree,
@@ -25,7 +23,7 @@ from coxmap.sections import (
     section_mul,
     section_pow,
 )
-from varieties import ring_affine_line, ring_p2, ring_quarter_quotient
+from varieties import ring_p2, ring_quarter_quotient
 
 
 def sec(ring, spec, unit=None):
@@ -134,35 +132,6 @@ def test_section_degree_torsion():
     s = sec(quarter, [("y1", 1)])
     free, exact = section_degree(quarter, s)
     assert free == () and exact.torsion == (1,)
-
-
-def test_expand_with_scalar_root():
-    line = ring_affine_line()
-    unit = RadicalScalar.from_rational(2).pow(Fraction(1, 2))
-    gamma = sec(line, [("t", Fraction(3, 2))], unit=unit)
-    f, g, r = expand(gamma)
-    assert r == 2
-    assert line.poly_str(f) == "2*t^3"
-    assert line.poly_str(g) == "1"
-
-
-def test_expand_zero_and_denominators():
-    p2 = ring_p2()
-    f, g, r = expand(FactoredSection.zero(3))
-    assert f.is_zero and g == MPoly.constant(3, 1) and r == 1
-    s = sec(p2, [("x0", 1), ("x1", -2)])
-    f, g, r = expand(s)
-    assert r == 1 and p2.poly_str(f) == "x0" and p2.poly_str(g) == "x1^2"
-
-
-def test_order_along_section():
-    p2 = ring_p2()
-    s = sec(p2, [("x0", Fraction(3, 2)), ("x0 + x1", -1)])
-    assert order_along_section(s, p2.parse("x0")) == Fraction(3, 2)
-    assert order_along_section(s, p2.parse("2*x0 + 2*x1")) == -1
-    assert order_along_section(s, p2.parse("x2")) == 0
-    with pytest.raises(ZeroSection):
-        order_along_section(FactoredSection.zero(3), p2.parse("x0"))
 
 
 def test_fractional_part_and_rational_quotient():
